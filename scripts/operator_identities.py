@@ -14,10 +14,12 @@ from isotypic import (
     harmonic_project_rank1,
     render_poly,
     sl2_generators,
+    verify_sl2,
+    verify_sp2n,
+    verify_supq,
     weyl_apply,
     z_var,
 )
-from isotypic.cli import verify_sl2, verify_sp2n, verify_supq
 from isotypic.fock import radial_square
 
 

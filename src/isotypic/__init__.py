@@ -2,7 +2,7 @@
 branching rules, inductive-limit stabilization, and a symbolic
 Bargmann-Fock module."""
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from . import errors
 from .branching import (
@@ -38,6 +38,9 @@ from .fock import (
     sp2n_generators,
     supq_laplacians,
     translate,
+    verify_sl2,
+    verify_sp2n,
+    verify_supq,
     w_var,
     weyl_apply,
     weyl_commutator,

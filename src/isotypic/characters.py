@@ -348,7 +348,8 @@ def dim(group: GroupFamily, sig: Signature) -> int:
             ),
             start=Fraction(1),
         )
-    assert val.denominator == 1, "Weyl product must be integral"
+    if val.denominator != 1:
+        raise DivisionNotExact(f"Weyl dimension product {val} is not integral")
     return int(val)
 
 

@@ -30,7 +30,9 @@ from .fock import (
     sl2_generators,
     sp2n_generators,
     supq_laplacians,
-    weyl_commutator,
+    verify_sl2,
+    verify_sp2n,
+    verify_supq,
 )
 from .lr import Decomposition, tensor_multi
 from .signatures import GroupFamily, parse, render
@@ -71,6 +73,13 @@ def parse_mixed_text(text: str):
         if a < b:
             raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
     return parts
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,20 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="check operator commutation relations"
     )
     p_verify.add_argument("target", choices=["sl2", "sp2n", "supq"])
-    p_verify.add_argument("--n", type=int, default=1)
+    p_verify.add_argument("--n", type=positive_int, default=1)
     p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--q", type=int)
+    p_verify.add_argument("--p", type=positive_int, default=1)
+    p_verify.add_argument("--q", type=positive_int, default=1)
 
     p_hwv = fock_sub.add_parser(
         "hwv", parents=[common], help="construct and verify a highest weight vector"
     )
     p_hwv.add_argument("--kind", required=True, choices=["gl", "so_rank1", "so_general", "upq"])
     p_hwv.add_argument("--sig", required=True, metavar="SIG")
-    p_hwv.add_argument("--n", type=int, default=1)
+    p_hwv.add_argument("--n", type=positive_int, default=1)
     p_hwv.add_argument("--k", type=int, required=True)
-    p_hwv.add_argument("--p", type=int)
-    p_hwv.add_argument("--q", type=int)
+    p_hwv.add_argument("--p", type=positive_int, default=1)
+    p_hwv.add_argument("--q", type=positive_int, default=1)
 
     p_pair = fock_sub.add_parser(
         "pair", parents=[common], help="Fock pairing of two polynomial expressions"
@@ -224,81 +233,6 @@ def _dim_result(args):
     return f"dim|{args.group}|rank={args.rank}|{render(sig)}", compute
 
 
-def verify_sl2(k: int) -> tuple[int, bool]:
-    """Check the three ladder relations at rank k."""
-    e_op, xp, xm = sl2_generators(k)
-    checks = [
-        weyl_commutator(e_op, xp) == 2 * xp,
-        weyl_commutator(e_op, xm) == (-2) * xm,
-        weyl_commutator(xm, xp) == e_op,
-    ]
-    return len(checks), all(checks)
-
-
-def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
-    """Check every index instance of the six commutation relation families."""
-    fam = sp2n_generators(n, k)
-    e_ops, p_ops, d_ops = fam["E"], fam["P"], fam["D"]
-    shape = next(iter(e_ops.values())).shape
-    from .fock import WeylOp
-
-    def d(i, j):
-        return 1 if i == j else 0
-
-    def combo(table, pieces):
-        out = WeylOp.zero(shape)
-        for coeff, idx in pieces:
-            if coeff:
-                out = out + coeff * table[idx]
-        return out
-
-    rng = range(1, n + 1)
-    checked = 0
-    ok = True
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for e in rng:
-                    ok &= weyl_commutator(e_ops[(a, b)], e_ops[(c, e)]) == combo(
-                        e_ops, [(d(b, c), (a, e)), (-d(a, e), (c, b))]
-                    )
-                    ok &= weyl_commutator(e_ops[(a, b)], p_ops[(c, e)]) == combo(
-                        p_ops, [(d(b, c), (a, e)), (d(b, e), (a, c))]
-                    )
-                    ok &= weyl_commutator(e_ops[(a, b)], d_ops[(c, e)]) == combo(
-                        d_ops, [(-d(a, c), (b, e)), (-d(a, e), (b, c))]
-                    )
-                    # E-index placement is forced by the E_ab = sum_i Z_ai d_bi
-                    # convention the first three families already pin down.
-                    ok &= weyl_commutator(p_ops[(a, b)], d_ops[(c, e)]) == combo(
-                        e_ops,
-                        [
-                            (d(a, c), (b, e)),
-                            (d(a, e), (b, c)),
-                            (d(b, c), (a, e)),
-                            (d(b, e), (a, c)),
-                        ],
-                    )
-                    ok &= weyl_commutator(p_ops[(a, b)], p_ops[(c, e)]).is_zero()
-                    ok &= weyl_commutator(d_ops[(a, b)], d_ops[(c, e)]).is_zero()
-                    checked += 6
-    return checked, bool(ok)
-
-
-def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
-    """Check that the invariant quadratics and Laplacians each commute."""
-    fam = supq_laplacians(p, q, k)
-    pairs = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
-    checked = 0
-    ok = True
-    for first in pairs:
-        for second in pairs:
-            ok &= weyl_commutator(fam["p"][first], fam["p"][second]).is_zero()
-            ok &= weyl_commutator(fam["delta"][first], fam["delta"][second]).is_zero()
-            checked += 2
-    return checked, bool(ok)
-
-
 def _fock_verify_result(args):
     if args.target == "sl2":
         query = f"fock-verify|sl2|k={args.k}"
@@ -321,14 +255,12 @@ def _fock_verify_result(args):
             }
 
     else:
-        p = args.p or 1
-        q = args.q or 1
-        query = f"fock-verify|supq|p={p}|q={q}|k={args.k}"
+        query = f"fock-verify|supq|p={args.p}|q={args.q}|k={args.k}"
 
         def compute():
-            checked, holds = verify_supq(p, q, args.k)
+            checked, holds = verify_supq(args.p, args.q, args.k)
             return {
-                "target": "supq", "p": p, "q": q, "k": args.k,
+                "target": "supq", "p": args.p, "q": args.q, "k": args.k,
                 "relations_checked": checked, "holds": holds,
             }
 
@@ -338,8 +270,7 @@ def _fock_verify_result(args):
 def _fock_hwv_result(args):
     kind = args.kind
     if kind == "upq":
-        p = args.p or 1
-        q = args.q or 1
+        p, q = args.p, args.q
         sig = parse_mixed_text(args.sig)
         if len(sig) != args.k:
             raise IsotypicError(
@@ -356,7 +287,7 @@ def _fock_hwv_result(args):
                 op.apply(vector).is_zero() for op in fam["delta"].values()
             )
             return {
-                "kind": kind, "signature": list(sig), "n": args.n, "k": args.k,
+                "kind": kind, "signature": list(sig), "p": p, "q": q, "k": args.k,
                 "polynomial": render_poly(vector), "verified": verified,
             }
 
@@ -517,6 +448,8 @@ def render_human(obj: dict) -> str:
         return f"{label} ({params}): {obj['relations_checked']} relations {verdict}"
     if "polynomial" in obj:
         status = "verified" if obj["verified"] else "NOT verified"
+        if "p" in obj:
+            status += f" (p={obj['p']}, q={obj['q']}, k={obj['k']})"
         return f"{obj['polynomial']}\n{status}"
     if "value" in obj:
         return obj["value"]

@@ -66,6 +66,10 @@ class NotHomogeneous(IsotypicError):
     """Harmonic projection requires a homogeneous input."""
 
 
+class ReconstructionFailed(IsotypicError):
+    """Exact components did not rebuild their input; indicates an implementation bug."""
+
+
 class BadSignature(IsotypicError):
     """Signature data invalid for the requested highest weight vector."""
 

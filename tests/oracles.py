@@ -5,6 +5,7 @@ enumerating every raw filling of the skew diagram, and dimensions from a
 standalone tableau counter, so agreement is meaningful.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -82,3 +83,50 @@ def count_ssyt(shape, k):
 
     fill(0)
     return total
+
+
+# Gaussian rationals as plain (Fraction, Fraction) pairs: the reference
+# the package's int-first GaussRat must agree with, part for part.
+
+
+def gauss_ref(re, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+def gauss_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def gauss_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gauss_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+
+
+def gauss_pow(a, n):
+    out = gauss_ref(1)
+    for _ in range(abs(n)):
+        out = gauss_mul(out, a)
+    return gauss_div(gauss_ref(1), out) if n < 0 else out
+
+
+def gauss_conj(a):
+    return (a[0], -a[1])
+
+
+def gauss_str(a):
+    re, im = a
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    if im < 0:
+        return f"{re}-{-im}*i"
+    return f"{re}+{im}*i"

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import isotypic
 from isotypic.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -13,6 +18,17 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_process(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping traceback shows on stderr."""
+    src = str(Path(isotypic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "isotypic.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_tensor_table_json(capsys):
@@ -135,6 +151,12 @@ def test_fock_hwv_subcommand(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["verified"] is True
+    assert (obj["p"], obj["q"], obj["k"]) == (1, 1, 4)
+    code, out, _ = invoke(
+        capsys, "fock", "hwv", "--kind", "upq", "--sig", "2,0,0,-1", "--k", "4",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "verified (p=1, q=1, k=4)"
 
 
 def test_fock_pair_subcommand(capsys):
@@ -163,6 +185,19 @@ def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "dim", "--group", "u", "--rank", "2", "junk")[0] == 2
     code, _, err = invoke(capsys, "dim", "--group", "u", "--rank", "0", "1")
     assert code == 1 and err.startswith("RankConstraint")
+    assert invoke(capsys, "fock", "verify", "sp2n", "--n", "0", "--k", "3")[0] == 2
+    assert invoke(capsys, "fock", "verify", "supq", "--p", "0", "--k", "3")[0] == 2
+    assert invoke(
+        capsys, "fock", "hwv", "--kind", "upq", "--sig", "1,-1", "--q", "0", "--k", "2"
+    )[0] == 2
+
+
+def test_fock_pair_zero_denominator_is_usage_error():
+    code, out, err = invoke_process("fock", "pair", "1/0*Z[1][1]", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
 
 
 def test_json_round_trip():

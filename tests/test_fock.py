@@ -9,6 +9,7 @@ from isotypic.errors import (
     BadSignature,
     DimensionMismatch,
     NotHomogeneous,
+    RankTooSmall,
     ShapeMismatch,
 )
 from isotypic.fock import (
@@ -30,10 +31,21 @@ from isotypic.fock import (
     sp2n_generators,
     supq_laplacians,
     translate,
+    verify_sp2n,
     weyl_commutator,
     z_var,
     w_var,
     _matrix_inverse,
+)
+from oracles import (
+    gauss_add,
+    gauss_conj,
+    gauss_div,
+    gauss_mul,
+    gauss_pow,
+    gauss_ref,
+    gauss_str,
+    gauss_sub,
 )
 
 
@@ -69,6 +81,47 @@ def test_gaussrat_arithmetic():
     assert (a / a) == GaussRat(1)
     assert a.conj() == GaussRat(Fraction(1, 2), Fraction(-3, 2))
     assert I_UNIT ** 2 == GaussRat(-1)
+
+
+RATIONALS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=8),
+)
+
+
+def assert_matches_reference(value, ref):
+    """Same parts, text and hash as the Fraction pair, with int parts when integral."""
+    assert (value.re, value.im) == ref
+    for part, want in zip((value.re, value.im), ref):
+        assert type(part) is (int if want.denominator == 1 else Fraction), (value, ref)
+    assert str(value) == gauss_str(ref)
+    assert hash(value) == hash(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS, RATIONALS, RATIONALS, st.integers(-4, 4))
+def test_gaussrat_matches_fraction_reference(a, b, c, d, n):
+    x, y = GaussRat(a, b), GaussRat(c, d)
+    rx, ry = gauss_ref(a, b), gauss_ref(c, d)
+    cases = [
+        (x, rx),
+        (x + y, gauss_add(rx, ry)),
+        (x - y, gauss_sub(rx, ry)),
+        (x * y, gauss_mul(rx, ry)),
+        (x * c, gauss_mul(rx, gauss_ref(c))),
+        (c * x, gauss_mul(rx, gauss_ref(c))),
+        (c - x, gauss_sub(gauss_ref(c), rx)),
+        (-x, gauss_sub(gauss_ref(0), rx)),
+        (x.conj(), gauss_conj(rx)),
+    ]
+    if any(ry):
+        cases.append((x / y, gauss_div(rx, ry)))
+    if any(rx) or n >= 0:
+        cases.append((x ** n, gauss_pow(rx, n)))
+    for value, ref in cases:
+        assert_matches_reference(value, ref)
+    assert (x == y) == (rx == ry)
+    assert (x == c) == (rx == gauss_ref(c))
 
 
 def test_gaussrat_text_round_trip():
@@ -191,6 +244,11 @@ def test_sp2n_adjoints_under_pairing():
         assert pairing(fam["E"][(1, 2)].apply(f), g) == pairing(
             f, fam["E"][(2, 1)].apply(g)
         )
+
+
+def test_verify_sp2n_needs_positive_rank():
+    with pytest.raises(RankTooSmall):
+        verify_sp2n(0, 3)
 
 
 def test_supq_laplacians():
