@@ -69,7 +69,6 @@ from .signatures import (
 from .stable_limits import (
     StableResult,
     identity_multiplicity,
-    stabilize,
     stable_branch,
     stable_tensor,
 )

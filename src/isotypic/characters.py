@@ -214,21 +214,18 @@ def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(n, quot)
 
 
-def _det(entries):
-    """Determinant of a square matrix of LaurentPolys (Leibniz expansion)."""
+def leibniz_det(entries, one):
+    """Determinant of a square matrix over a commutative ring (Leibniz
+    expansion).  `one` is the ring's 1, which is also the empty determinant."""
     size = len(entries)
-    nvars = entries[0][0].nvars if size else 0
-    out = LaurentPoly(nvars)
+    out = one - one
     for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = LaurentPoly.constant(nvars, sign)
-        for i in range(size):
-            term = term * entries[i][perm[i]]
+        inversions = sum(
+            perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)
+        )
+        term = -one if inversions % 2 else one
+        for row, col in enumerate(perm):
+            term = term * entries[row][col]
         out = out + term
     return out
 
@@ -251,6 +248,11 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
     if nu == 0:
         return LaurentPoly.constant(0, 1)
     mup = pad(mu, nu)
+    one = LaurentPoly.constant(nu, 1)
+
+    def alternant(entry, exps):
+        return leibniz_det([[entry(i, e) for e in exps] for i in range(nu)], one)
+
     if k % 2 == 1:
         # B case: work in y with x = y^2 so the half-integer rho becomes
         # integral, then halve the (necessarily even) exponents.
@@ -266,10 +268,7 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
                 },
             )
 
-        quot = laurent_exact_div(
-            _det([[odd_entry(i, tops[j]) for j in range(nu)] for i in range(nu)]),
-            _det([[odd_entry(i, bots[j]) for j in range(nu)] for i in range(nu)]),
-        )
+        quot = laurent_exact_div(alternant(odd_entry, tops), alternant(odd_entry, bots))
         halved = {}
         for e, c in quot.terms.items():
             if any(x % 2 for x in e):
@@ -283,7 +282,7 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
 
     def even_entry(i, e):
         if e == 0:
-            return LaurentPoly.constant(nu, 1)
+            return one
         return LaurentPoly(
             nu,
             {
@@ -292,10 +291,7 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
             },
         )
 
-    return laurent_exact_div(
-        _det([[even_entry(i, tops[j]) for j in range(nu)] for i in range(nu)]),
-        _det([[even_entry(i, bots[j]) for j in range(nu)] for i in range(nu)]),
-    )
+    return laurent_exact_div(alternant(even_entry, tops), alternant(even_entry, bots))
 
 
 def dim(group: GroupFamily, sig: Signature) -> int:

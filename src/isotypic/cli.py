@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("target", choices=["sl2", "sp2n", "supq"])
     p_verify.add_argument("--n", type=positive_int, default=1)
-    p_verify.add_argument("--k", type=int, required=True)
+    p_verify.add_argument("--k", type=positive_int, required=True)
     p_verify.add_argument("--p", type=positive_int, default=1)
     p_verify.add_argument("--q", type=positive_int, default=1)
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hwv.add_argument("--kind", required=True, choices=["gl", "so_rank1", "so_general", "upq"])
     p_hwv.add_argument("--sig", required=True, metavar="SIG")
     p_hwv.add_argument("--n", type=positive_int, default=1)
-    p_hwv.add_argument("--k", type=int, required=True)
+    p_hwv.add_argument("--k", type=positive_int, required=True)
     p_hwv.add_argument("--p", type=positive_int, default=1)
     p_hwv.add_argument("--q", type=positive_int, default=1)
 

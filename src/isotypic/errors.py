@@ -72,7 +72,3 @@ class ReconstructionFailed(IsotypicError):
 
 class BadSignature(IsotypicError):
     """Signature data invalid for the requested highest weight vector."""
-
-
-class NoStabilization(IsotypicError):
-    """Probe cap reached without the decomposition stabilizing."""

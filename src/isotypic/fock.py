@@ -25,12 +25,12 @@ from fractions import Fraction
 from itertools import (
     compress as _compress,
     count as _count,
-    permutations as _iterpermutations,
     product as _iterproduct,
 )
 from math import comb, factorial, perm
 from operator import add
 
+from .characters import leibniz_det
 from .errors import (
     BadSignature,
     DimensionMismatch,
@@ -628,8 +628,15 @@ def supq_laplacians(p: int, q: int, k: int):
     return fam
 
 
+def _require_positive(algebra: str, **ranks):
+    for name, value in ranks.items():
+        if value < 1:
+            raise RankTooSmall(f"{algebra} needs {name} >= 1, got {name}={value}")
+
+
 def verify_sl2(k: int) -> tuple[int, bool]:
     """Check the three ladder relations at rank k."""
+    _require_positive("the ladder triple", k=k)
     e_op, xp, xm = sl2_generators(k)
     checks = [
         weyl_commutator(e_op, xp) == 2 * xp,
@@ -641,8 +648,7 @@ def verify_sl2(k: int) -> tuple[int, bool]:
 
 def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
     """Check every index instance of the six commutation relation families."""
-    if n < 1:
-        raise RankTooSmall(f"the oscillator algebra needs n >= 1, got n={n}")
+    _require_positive("the oscillator algebra", n=n, k=k)
     fam = sp2n_generators(n, k)
     e_ops, p_ops, d_ops = fam["E"], fam["P"], fam["D"]
     shape = FockShape(n, k)
@@ -692,6 +698,7 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
 
 def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
     """Check that the invariant quadratics and Laplacians each commute."""
+    _require_positive("the u(p,q) quadratics", p=p, q=q, k=k)
     fam = supq_laplacians(p, q, k)
     pairs = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
     checked = 0
@@ -749,23 +756,10 @@ def harmonic_project_rank1(f: FockPoly, k: int):
 
 
 def _poly_det(entries):
-    """Determinant of a small square matrix of FockPolys."""
-    size = len(entries)
-    if size == 0:
+    """Determinant of a small nonempty square matrix of FockPolys."""
+    if not entries:
         raise ValueError("empty determinant")
-    shape = entries[0][0].shape
-    out = FockPoly.zero(shape)
-    for perm in _iterpermutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = FockPoly.constant(shape, sign)
-        for i in range(size):
-            term = term * entries[i][perm[i]]
-        out = out + term
-    return out
+    return leibniz_det(entries, FockPoly.constant(entries[0][0].shape, 1))
 
 
 def _so_q_matrix(k: int):

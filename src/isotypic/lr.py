@@ -188,11 +188,11 @@ def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
     """Decompose the U(k) tensor product of lam and mu."""
     lam = canonicalize(lam)
     mu = canonicalize(mu)
+    group = GroupFamily("u", k)  # RankConstraint unless k >= 1
     if len(lam) > k:
         raise RankTooSmall(f"factor {list(lam)} needs rank >= {len(lam)}, got {k}")
     if len(mu) > k:
         raise RankTooSmall(f"factor {list(mu)} needs rank >= {len(mu)}, got {k}")
-    group = GroupFamily("u", k)
     if not lam:
         return Decomposition(group, {mu: 1})
     if not mu:
@@ -212,10 +212,10 @@ def tensor_multi(factors, k: int) -> Decomposition:
     intermediate decompositions small.
     """
     factors = [canonicalize(f) for f in factors]
+    group = GroupFamily("u", k)  # RankConstraint unless k >= 1
     for f in factors:
         if len(f) > k:
             raise RankTooSmall(f"factor {list(f)} needs rank >= {len(f)}, got {k}")
-    group = GroupFamily("u", k)
     if not factors:
         return Decomposition(group, {(): 1})
     factors.sort(key=lambda f: (weight(f), f))

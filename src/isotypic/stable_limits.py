@@ -1,23 +1,21 @@
-"""Inductive-limit engine: probe a rank-indexed decomposition until the
-zero-trimmed term map stops changing, and report where it stabilized.
+"""Inductive-limit engine: each stable decomposition is computed once, at a
+rank proven stable, and reported with the index `k0` where it first appears.
 
-Stability is confirmed by consecutive equal probes rather than a proven
-bound: signature sets are not assumed monotone in the rank, only
-eventually constant, so the probe loop keeps going until `confirm`
-identical answers arrive in a row.
+At U(k) a tensor product table is the stable table cut to its terms of
+length <= k.  No term is longer than the sum of the factor lengths, and
+the sorted union of the factors' parts always occurs, so the table at that
+rank is stable and `k0` is that rank.  The Littlewood restriction does not
+depend on k inside its stable range 2*len(lam) < k, so `k0` is the range's
+edge.  The probes are the length-filtered tables at k_start, ..., k0 + step.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .branching import restrict_gl_to_so, restrict_gl_to_sp
-from .errors import NoStabilization
 from .lr import Decomposition, contragredient, tensor_mixed, tensor_multi
 from .signatures import GroupFamily, Signature, canonicalize, pad
-
-PROBE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -29,115 +27,51 @@ class StableResult:
     probes: tuple = field(default_factory=tuple)  # of (k, Decomposition)
 
 
-def stabilize(compute_at, k_start: int, confirm: int = 2, step: int = 1) -> StableResult:
-    """Run compute_at over increasing ranks until `confirm` equal answers.
-
-    Decompositions at different ranks are compared through their trimmed
-    term maps.  The probe rank is capped at k_start + 32; hitting the cap
-    raises NoStabilization and usually indicates a rank-dependent leak in
-    the caller.
-    """
-    if confirm < 1:
-        raise ValueError("confirm must be at least 1")
-    probes = []
-    run_terms = None
-    run_start = None
-    run_length = 0
-    k = k_start
-    while k <= k_start + PROBE_CAP:
-        dec = compute_at(k)
-        probes.append((k, dec))
-        if run_terms is not None and dec.terms == run_terms:
-            run_length += 1
-        else:
-            run_terms = dec.terms
-            run_start = k
-            run_length = 1
-        if run_length >= confirm:
-            stable = Decomposition(
-                GroupFamily(dec.group.family, "stable"), run_terms
-            )
-            return StableResult(stable=stable, k0=run_start, probes=tuple(probes))
-        k += step
-    raise NoStabilization(
-        f"no stable decomposition within {PROBE_CAP} ranks from {k_start}"
+def _stable_result(dec: Decomposition, k_start: int, k0: int, step: int = 1):
+    family = dec.group.family
+    probes = tuple(
+        (k, Decomposition(GroupFamily(family, k), [t for t in dec if len(t[0]) <= k]))
+        for k in range(k_start, k0 + step + 1, step)
     )
+    return StableResult(Decomposition(GroupFamily(family, "stable"), dec), k0, probes)
 
 
-def stable_tensor(factors, confirm: int = 2) -> StableResult:
+def stable_tensor(factors) -> StableResult:
     """Stable decomposition of an iterated tensor product of signatures."""
     factors = [canonicalize(f) for f in factors]
     if not factors:
         raise ValueError("stable_tensor needs at least one factor")
-    k_start = max(1, max(len(f) for f in factors))
-    result = stabilize(lambda k: tensor_multi(factors, k), k_start, confirm)
-    safe_bound = sum(len(f) for f in factors)
-    if result.k0 > max(safe_bound, 1):
-        warnings.warn(
-            f"stabilization index {result.k0} exceeds the length-sum bound "
-            f"{safe_bound}; inspect the probes",
-            stacklevel=2,
-        )
-    return result
+    k0 = max(1, sum(len(f) for f in factors))
+    return _stable_result(tensor_multi(factors, k0), max(1, *map(len, factors)), k0)
 
 
-def stable_branch(lam: Signature, target: str, confirm: int = 2) -> StableResult:
+def stable_branch(lam: Signature, target: str) -> StableResult:
     """Stable restriction of lam to the orthogonal or symplectic chain."""
     lam = canonicalize(lam)
     if target == "so":
-        return stabilize(
-            lambda k: restrict_gl_to_so(lam, k), 2 * len(lam) + 1, confirm
-        )
+        k0 = 2 * len(lam) + 1
+        return _stable_result(restrict_gl_to_so(lam, k0), k0, k0)
     if target == "sp":
-        return stabilize(
-            lambda k: restrict_gl_to_sp(lam, k), 2 * len(lam) + 2, confirm, step=2
-        )
+        k0 = 2 * len(lam) + 2
+        return _stable_result(restrict_gl_to_sp(lam, k0), k0, k0, step=2)
     raise ValueError(f"unknown branching target {target!r}")
 
 
-def _stable_key(sig):
-    """Rank-free form of a mixed signature: positive and negative parts."""
-    pos = tuple(p for p in sig if p > 0)
-    neg = tuple(p for p in sig if p < 0)
-    return (pos, neg)
-
-
-def identity_multiplicity(factors, mu: Signature, confirm: int = 2) -> int:
+def identity_multiplicity(factors, mu: Signature) -> int:
     """Multiplicity of the trivial signature in (tensor factors) x dual(mu).
 
-    Computed honestly through the mixed tensor product at growing ranks,
-    never by reading the multiplicity of mu off the direct product, so it
-    can serve as the other side of the duality check.
+    Computed through the mixed tensor product, never by reading the
+    multiplicity of mu off the direct product, so it can serve as the
+    other side of the duality check.  One rank k = max(1, len(mu), longest
+    factor) suffices: at U(k) every sigma of tensor_multi(factors, k) is a
+    stable term of length <= k, and by Schur's lemma sigma x dual(mu)
+    contains the trivial representation, once, exactly when sigma = mu.
     """
     factors = [canonicalize(f) for f in factors]
     mu = canonicalize(mu)
-    k_start = max(1, len(mu), max((len(f) for f in factors), default=1))
-
-    def keyed_product(k):
-        direct = tensor_multi(factors, k)
-        dual = contragredient(pad(mu, k))
-        acc: dict = {}
-        for sig, mult in direct:
-            for tau, c in tensor_mixed(pad(sig, k), dual, k):
-                key = _stable_key(tau)
-                acc[key] = acc.get(key, 0) + mult * c
-        return acc
-
-    probes = []
-    run = None
-    run_length = 0
-    k = k_start
-    while k <= k_start + PROBE_CAP:
-        value = keyed_product(k)
-        probes.append(value)
-        if run is not None and value == run:
-            run_length += 1
-        else:
-            run = value
-            run_length = 1
-        if run_length >= confirm:
-            return run.get(((), ()), 0)
-        k += 1
-    raise NoStabilization(
-        f"mixed product of {factors} with dual {list(mu)} did not stabilize"
+    k = max(1, len(mu), *map(len, factors))
+    dual = contragredient(pad(mu, k))
+    return sum(
+        mult * tensor_mixed(pad(sig, k), dual, k)[(0,) * k]
+        for sig, mult in tensor_multi(factors, k)
     )

@@ -130,3 +130,35 @@ def gauss_str(a):
     if im < 0:
         return f"{re}-{-im}*i"
     return f"{re}+{im}*i"
+
+
+# Rank-by-rank probing: the search the stable engine's proven ranks must
+# reproduce.  compute_at(k) returns a plain {signature: mult} dict.
+
+PROBE_CAP = 32
+
+
+class ProbeCapReached(Exception):
+    """The probe loop ran PROBE_CAP ranks past its start without stabilizing."""
+
+
+def probe_until_stable(compute_at, k_start, confirm=2, step=1):
+    """Probe k_start, k_start + step, ... until `confirm` equal answers in a row.
+
+    Returns (stable terms, k0, [(k, terms), ...]) where k0 is the first
+    rank of the final run of equal answers.
+    """
+    if confirm < 1:
+        raise ValueError("confirm must be at least 1")
+    probes = []
+    run_start, run_length = None, 0
+    for k in range(k_start, k_start + PROBE_CAP + 1, step):
+        terms = compute_at(k)
+        if probes and terms == probes[-1][1]:
+            run_length += 1
+        else:
+            run_start, run_length = k, 1
+        probes.append((k, terms))
+        if run_length >= confirm:
+            return terms, run_start, probes
+    raise ProbeCapReached(f"no stable answer within {PROBE_CAP} ranks from {k_start}")

@@ -1,8 +1,13 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import isotypic
 from isotypic.cli import (
@@ -176,6 +181,9 @@ def test_domain_error_exit_code(capsys):
     code, _, err = invoke(capsys, "tensor", "--rank", "1", "1,1")
     assert code == 1
     assert err.startswith("RankTooSmall")
+    code, out, err = invoke(capsys, "tensor", "--rank", "-2", "0")
+    assert code == 1 and out == ""
+    assert err == "RankConstraint: rank must be a positive integer, got -2\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -190,6 +198,10 @@ def test_usage_error_exit_code(capsys):
     assert invoke(
         capsys, "fock", "hwv", "--kind", "upq", "--sig", "1,-1", "--q", "0", "--k", "2"
     )[0] == 2
+    assert invoke(capsys, "fock", "verify", "sl2", "--k", "-1")[0] == 2
+    assert invoke(capsys, "fock", "verify", "sp2n", "--k", "-2")[0] == 2
+    assert invoke(capsys, "fock", "verify", "supq", "--k", "0")[0] == 2
+    assert invoke(capsys, "fock", "hwv", "--kind", "gl", "--sig", "1", "--k", "-1")[0] == 2
 
 
 def test_fock_pair_zero_denominator_is_usage_error():
@@ -278,3 +290,59 @@ def test_group_family_json_shape():
         "terms": [{"signature": [1], "mult": 1}],
     }
     assert dec.group == GroupFamily("u", 2)
+
+
+_SMALL = st.integers(-2, 4)
+_SIG = st.lists(st.integers(-2, 3), min_size=1, max_size=3).map(
+    lambda parts: ",".join(map(str, parts))
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    """Small, possibly invalid argument lists for the computing subcommands."""
+    command = draw(st.sampled_from(
+        ["tensor", "branch", "dim", "identity-mult", "verify", "hwv"]
+    ))
+    rank = ["--rank", str(draw(_SMALL))]
+    if command == "tensor":
+        argv = ["tensor", *draw(st.sampled_from([["--stable"], rank]))]
+        argv += draw(st.lists(_SIG, min_size=1, max_size=3))
+    elif command == "branch":
+        argv = ["branch", "--to", draw(st.sampled_from(["so", "sp"]))]
+        argv += [*draw(st.sampled_from([["--stable"], rank])), draw(_SIG)]
+    elif command == "dim":
+        argv = ["dim", "--group", draw(st.sampled_from(["u", "so", "sp"])), *rank]
+        argv.append(draw(_SIG))
+    elif command == "identity-mult":
+        argv = ["identity-mult", "--mu", draw(_SIG)]
+        argv += draw(st.lists(_SIG, min_size=1, max_size=2))
+    else:
+        argv = ["fock", command]
+        if command == "verify":
+            argv.append(draw(st.sampled_from(["sl2", "sp2n", "supq"])))
+        else:
+            kind = draw(st.sampled_from(["gl", "so_rank1", "so_general", "upq"]))
+            argv += ["--kind", kind, "--sig", draw(_SIG)]
+        argv += ["--k", str(draw(_SMALL))]
+        for name in ("--n", "--p", "--q"):
+            if draw(st.booleans()):
+                argv += [name, str(draw(st.integers(-1, 2)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_argv())
+def test_cli_fuzz_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 1:
+        assert re.match(r"[A-Z]\w+: ", err), (argv, err)
+    if code == 0:
+        assert out.getvalue() and not err, argv

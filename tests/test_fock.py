@@ -31,7 +31,9 @@ from isotypic.fock import (
     sp2n_generators,
     supq_laplacians,
     translate,
+    verify_sl2,
     verify_sp2n,
+    verify_supq,
     weyl_commutator,
     z_var,
     w_var,
@@ -249,6 +251,24 @@ def test_sp2n_adjoints_under_pairing():
 def test_verify_sp2n_needs_positive_rank():
     with pytest.raises(RankTooSmall):
         verify_sp2n(0, 3)
+
+
+def test_verifiers_reject_nonpositive_ranks():
+    for call in (
+        lambda: verify_sl2(0),
+        lambda: verify_sl2(-1),
+        lambda: verify_sp2n(1, -2),
+        lambda: verify_sp2n(2, 0),
+        lambda: verify_supq(1, 1, 0),
+        lambda: verify_supq(1, 1, -3),
+        # An empty index set would otherwise pass vacuously as (0, True).
+        lambda: verify_supq(0, 1, 2),
+        lambda: verify_supq(1, 0, 2),
+        lambda: verify_supq(-1, 2, 2),
+    ):
+        with pytest.raises(RankTooSmall):
+            call()
+    assert verify_supq(1, 1, 2) == (2, True)
 
 
 def test_supq_laplacians():

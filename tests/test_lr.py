@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from isotypic.characters import dim, schur_product_decompose
-from isotypic.errors import RankMismatch, RankTooSmall
+from isotypic.errors import RankConstraint, RankMismatch, RankTooSmall
 from isotypic.lr import (
     Decomposition,
     contragredient,
@@ -86,6 +86,17 @@ def test_tensor_pair_examples():
 def test_tensor_pair_rank_guard():
     with pytest.raises(RankTooSmall):
         tensor_pair((1, 1), (1,), 1)
+
+
+def test_nonpositive_rank_is_a_rank_constraint():
+    for call in (
+        lambda: tensor_pair((), (), 0),
+        lambda: tensor_pair((1,), (1,), -2),
+        lambda: tensor_multi([()], 0),
+        lambda: tensor_multi([(2,), (1,)], -1),
+    ):
+        with pytest.raises(RankConstraint, match="rank must be a positive integer"):
+            call()
 
 
 def test_tensor_pair_matches_schur_oracle():

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from isotypic.errors import NoStabilization
-from isotypic.lr import Decomposition, tensor_multi
-from isotypic.signatures import GroupFamily, iter_partitions
+from isotypic.branching import restrict_gl_to_so, restrict_gl_to_sp
+from isotypic.lr import contragredient, tensor_mixed, tensor_multi
+from isotypic.signatures import GroupFamily, iter_partitions, pad
 from isotypic.stable_limits import (
     identity_multiplicity,
-    stabilize,
     stable_branch,
     stable_tensor,
 )
+from oracles import ProbeCapReached, probe_until_stable
 
 QUAD_STABLE = {
     (8,): 1, (7, 1): 3, (6, 2): 5, (5, 3): 5, (4, 4): 2,
@@ -55,11 +55,67 @@ def test_probes_are_length_filtered_prefixes():
 
 
 def test_stabilize_cap_raises():
+    # The probing oracle the proven ranks are checked against must not
+    # report a stable answer for a rank-dependent leak.
     def runaway(k):
-        return Decomposition(GroupFamily("u", k), {(k,): 1})
+        return {(k,): 1}
 
-    with pytest.raises(NoStabilization):
-        stabilize(runaway, 1)
+    with pytest.raises(ProbeCapReached):
+        probe_until_stable(runaway, 1)
+    with pytest.raises(ProbeCapReached):
+        probe_until_stable(runaway, 2, step=2)
+
+
+def _matches_probing(res, oracle):
+    terms, k0, probes = oracle
+    assert res.stable.terms == terms
+    assert res.k0 == k0
+    assert [k for k, _ in res.probes] == [k for k, _ in probes]
+    assert [probe.terms for _, probe in res.probes] == [t for _, t in probes]
+    assert all(probe.group.rank == k for k, probe in res.probes)
+
+
+def _trivial_in_mixed_product(factors, mu, k):
+    dual = contragredient(pad(mu, k))
+    return sum(
+        mult * tensor_mixed(pad(sig, k), dual, k)[(0,) * k]
+        for sig, mult in tensor_multi(factors, k)
+    )
+
+
+def test_proven_ranks_match_probing_oracle():
+    rng = random.Random(41)
+    for _ in range(80):
+        # A random product of 1-3 factors, total weight <= 6.
+        total = rng.randint(0, 6)
+        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 2)))
+        weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        factors = [rng.choice(list(iter_partitions(w))) for w in weights]
+        k_start = max(1, max(len(f) for f in factors))
+        res = stable_tensor(factors)
+        _matches_probing(
+            res, probe_until_stable(lambda k: tensor_multi(factors, k).terms, k_start)
+        )
+        mu = rng.choice(res.stable.signatures() + [(1,) * 4, (7,)])
+        k = max(1, len(mu), k_start)
+        value = identity_multiplicity(factors, mu)
+        for rank in range(k, k + 3):
+            assert value == _trivial_in_mixed_product(factors, mu, rank), (factors, mu)
+
+    for w in range(7):
+        for lam in iter_partitions(w, max_length=3):
+            _matches_probing(
+                stable_branch(lam, "so"),
+                probe_until_stable(
+                    lambda k: restrict_gl_to_so(lam, k).terms, 2 * len(lam) + 1
+                ),
+            )
+            _matches_probing(
+                stable_branch(lam, "sp"),
+                probe_until_stable(
+                    lambda k: restrict_gl_to_sp(lam, k).terms, 2 * len(lam) + 2, step=2
+                ),
+            )
 
 
 def test_stable_branch_so():
