@@ -2,10 +2,12 @@
 
 The Littlewood restriction rule gives the multiplicity of mu in lam as a
 sum of LR coefficients c^lam_{mu,delta} over auxiliary partitions delta
-with all parts even (SO) or all columns even (Sp).  Its dual-pair mirror
-is the lowest-K-type multiplicity formula, and the reciprocity checker
-recomputes the restriction side through the character oracle so the two
-sides stay computationally independent.
+with all parts even (SO) or all columns even (Sp).  One function,
+`_littlewood_terms`, computes that sum for every mu at once; the
+restrictions, the dual-side (lowest-K-type) multiplicity and side B of
+the reciprocity report all read its table.  Side A recomputes the
+restriction through the character oracle, so the two sides stay
+computationally independent.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .characters import greedy_decompose, schur_laurent_on_so_torus
 from .errors import OddRank, OutsideStableRange, RankTooSmall
-from .lr import Decomposition, contragredient, lr_coefficient, tensor_mixed, tensor_multi
+from .lr import Decomposition, _lr_table, contragredient, tensor_mixed, tensor_multi
 from .signatures import (
     GroupFamily,
     Signature,
@@ -44,7 +46,12 @@ def _even_column_partitions(total, max_length):
         yield tuple(out)
 
 
-def _littlewood_restrict(lam, k, deltas, family):
+def _littlewood_terms(lam: Signature, deltas) -> dict:
+    """``{mu: sum over delta of c^lam_{mu,delta}}`` for canonical lam.
+
+    `deltas(total, max_length)` lists the auxiliary partitions; only the
+    delta and mu within lam's length and first row are tried.
+    """
     terms: dict = {}
     wt = weight(lam)
     lam1 = lam[0] if lam else 0
@@ -53,10 +60,10 @@ def _littlewood_restrict(lam, k, deltas, family):
             if delta and delta[0] > lam1:
                 continue
             for mu in iter_partitions(wt - dwt, max_length=len(lam), max_part=lam1):
-                c = lr_coefficient(mu, delta, lam)
+                c = _lr_table(mu, delta).get(lam)
                 if c:
                     terms[mu] = terms.get(mu, 0) + c
-    return Decomposition(GroupFamily(family, k), terms)
+    return terms
 
 
 def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
@@ -66,7 +73,7 @@ def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
         raise OutsideStableRange(
             f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
         )
-    return _littlewood_restrict(lam, k, _even_row_partitions, "so")
+    return Decomposition(GroupFamily("so", k), _littlewood_terms(lam, _even_row_partitions))
 
 
 def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
@@ -78,7 +85,7 @@ def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
         raise OutsideStableRange(
             f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
         )
-    return _littlewood_restrict(lam, k, _even_column_partitions, "sp")
+    return Decomposition(GroupFamily("sp", k), _littlewood_terms(lam, _even_column_partitions))
 
 
 def branch_rank1_closed_form(m: int) -> Decomposition:
@@ -97,12 +104,7 @@ def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     mu = canonicalize(mu)
     if len(lam) > n or len(mu) > n:
         raise RankTooSmall(f"signatures must fit rank {n}")
-    diff = weight(lam) - weight(mu)
-    if diff < 0 or diff % 2:
-        return 0
-    return sum(
-        lr_coefficient(mu, delta, lam) for delta in _even_row_partitions(diff, n)
-    )
+    return _littlewood_terms(lam, _even_row_partitions).get(mu, 0)
 
 
 @dataclass(frozen=True)
@@ -134,17 +136,10 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     side_a = greedy_decompose(
         schur_laurent_on_so_torus(lam, k), GroupFamily("so", k)
     )
-    support = set(side_a.signatures())
-    wt = weight(lam)
-    lam1 = lam[0] if lam else 0
-    for dwt in range(0, wt + 1, 2):
-        for mu in iter_partitions(wt - dwt, max_length=min(n, len(lam)), max_part=lam1):
-            if dual_side_multiplicity(lam, mu, n) > 0:
-                support.add(mu)
+    side_b = _littlewood_terms(lam, _even_row_partitions)
     rows = []
-    for mu in sorted(support, reverse=True):
-        a = side_a[mu]
-        b = dual_side_multiplicity(lam, mu, n)
+    for mu in sorted(set(side_a.signatures()) | set(side_b), reverse=True):
+        a, b = side_a[mu], side_b.get(mu, 0)
         rows.append((mu, a, b, a == b))
     return ReciprocityReport(lam, n, k, tuple(rows))
 

@@ -311,31 +311,20 @@ def dim(group: GroupFamily, sig: Signature) -> int:
             ),
             start=Fraction(1),
         )
-    elif group.family == "so":
-        half = k // 2
-        mup = pad(sig, half)
-        if k % 2 == 1:
-            a = [2 * (mup[i] + half - i - 1) + 1 for i in range(half)]
-            b = [2 * (half - i - 1) + 1 for i in range(half)]
-            val = prod((Fraction(x, y) for x, y in zip(a, b)), start=Fraction(1))
-        else:
-            a = [mup[i] + half - i - 1 for i in range(half)]
-            b = [half - i - 1 for i in range(half)]
-            val = Fraction(1)
-        val *= prod(
-            (
-                Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
-                for i in range(half)
-                for j in range(i + 1, half)
-            ),
-            start=Fraction(1),
-        )
     else:
+        # Types C, B, D: b is rho and a = lam + rho, both doubled for B to
+        # stay integral; only C and B have the linear factors a_i/b_i.
         half = k // 2
-        mup = pad(sig, half)
-        a = [mup[i] + half - i for i in range(half)]
-        b = [half - i for i in range(half)]
-        val = prod((Fraction(x, y) for x, y in zip(a, b)), start=Fraction(1))
+        if group.family == "sp":
+            scale, linear, b = 1, True, [half - i for i in range(half)]
+        elif k % 2:
+            scale, linear, b = 2, True, [2 * (half - i) - 1 for i in range(half)]
+        else:
+            scale, linear, b = 1, False, [half - i - 1 for i in range(half)]
+        a = [scale * m + r for m, r in zip(pad(sig, half), b)]
+        val = Fraction(1)
+        if linear:
+            val = prod((Fraction(x, y) for x, y in zip(a, b)), start=val)
         val *= prod(
             (
                 Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)

@@ -3,7 +3,8 @@
 Every subcommand computes a plain JSON-able result dict; human output is
 rendered from that dict, so cached and fresh invocations are
 byte-identical.  The cache is a line-delimited JSON file, content
-addressed by a hash of the canonical query string and engine version;
+addressed by a hash of the canonical query string and a fingerprint of
+the engine's source, so an edit to any module retires old records;
 corrupt lines are skipped with a warning and never change results.
 """
 
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import __version__
 from .branching import reciprocity_check, restrict_gl_to_so, restrict_gl_to_sp
@@ -342,8 +344,19 @@ _EXECUTORS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _engine_fingerprint() -> str:
+    """sha256 over the package's ``*.py`` sources, taken in name order."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
+        with open(os.path.join(root, name), "rb") as handle:
+            digest.update(name.encode() + b"\0" + handle.read() + b"\0")
+    return digest.hexdigest()
+
+
 def canonical_key(query: str) -> str:
-    payload = f"{__version__}\n{query}".encode()
+    payload = f"{_engine_fingerprint()}\n{query}".encode()
     return hashlib.sha256(payload).hexdigest()
 
 

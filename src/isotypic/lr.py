@@ -1,12 +1,15 @@
 """Littlewood-Richardson coefficients and GL/U tensor product decompositions.
 
-The coefficient c^nu_{lam,mu} is computed by depth-first enumeration of
-LR skew tableaux of shape nu/lam and content mu, pruning on the lattice
-word condition cell by cell.  Iterated and mixed (contragredient)
-products are reduced to this primitive.
+One search per product: `_lr_table(lam, mu)` adds the rows of the lighter
+factor to the heavier one as horizontal strips under the lattice rule and
+returns every c^nu_{lam,mu} at once, in a bounded memo keyed by the
+canonical factors.  Single coefficients, products at a rank, and iterated
+and mixed (contragredient) products all read these tables.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import RankMismatch, RankTooSmall
 from .signatures import (
@@ -14,7 +17,6 @@ from .signatures import (
     MixedSignature,
     Signature,
     canonicalize,
-    contains,
     pad,
     render,
     shift_mixed,
@@ -88,100 +90,61 @@ class Decomposition:
         return f"<{self.group}: {body or '0'}>"
 
 
-# Memo table for LR coefficients, keyed on canonical signature strings.
-# Plain dict reads/writes are atomic under the GIL; duplicate computation
-# by racing threads is harmless because values are deterministic.
-_lr_memo: dict[str, int] = {}
+@lru_cache(maxsize=1 << 14)
+def _lr_table(lam: Signature, mu: Signature) -> dict:
+    """The product of canonical lam and mu as ``{nu: c^nu_{lam,mu}}``.
+
+    The rows of the lighter factor are added to the heavier one as
+    horizontal strips, the i-th strip holding the value i.  The lattice
+    rule is checked row by row (the i's in rows <= r never outnumber the
+    (i-1)'s in rows < r), so every completed filling is one LR tableau
+    and adds 1 to its shape.  The table is shared: do not mutate it.
+    """
+    if (weight(lam), lam) < (weight(mu), mu):
+        return _lr_table(mu, lam)
+    table: dict = {}
+    last = len(mu) - 1
+
+    def strip(i, shape, prev):
+        # Place mu[i] cells holding i+1 on shape; prev[r] counts the i's in row r.
+        rows = len(shape)
+        new = list(shape) + [0]
+        placed = [0] * (rows + 1)
+
+        def row(r, left, slack):
+            # slack: i's in rows < r minus (i+1)'s in rows < r.
+            old = new[r]
+            hi = left if r == 0 else min(left, shape[r - 1] - old)
+            if i:
+                hi = min(hi, slack)
+            # The rows below r can take at most `old` more cells.
+            for x in range(max(0, left - old), hi + 1):
+                new[r] = old + x
+                placed[r] = x
+                if x < left:
+                    row(r + 1, left - x, slack - x + prev[r])
+                    continue
+                nu = tuple(new) if new[-1] else tuple(new[:-1])
+                if i == last:
+                    table[nu] = table.get(nu, 0) + 1
+                else:
+                    strip(i + 1, nu, placed[:])
+            new[r] = old
+            placed[r] = 0
+
+        row(0, mu[i], 0)
+
+    if mu:
+        strip(0, lam, [0] * len(lam))
+    else:
+        table[lam] = 1
+    return table
 
 
 def lr_coefficient(lam: Signature, mu: Signature, nu: Signature) -> int:
     """Number of LR skew tableaux of shape nu/lam and content mu."""
-    lam = canonicalize(lam)
-    mu = canonicalize(mu)
-    nu = canonicalize(nu)
-    if weight(lam) + weight(mu) != weight(nu):
-        return 0
-    if not contains(lam, nu) or not contains(mu, nu):
-        return 0
-    if len(nu) > len(lam) + len(mu):
-        return 0
-    if not mu:
-        return 1
-    key = f"{render(lam)}|{render(mu)}|{render(nu)}"
-    cached = _lr_memo.get(key)
-    if cached is not None:
-        return cached
-    count = _count_lr_tableaux(lam, mu, nu)
-    _lr_memo[key] = count
-    return count
-
-
-def _count_lr_tableaux(lam, mu, nu):
-    nrows = len(nu)
-    nvals = len(mu)
-    lamp = list(lam) + [0] * (nrows - len(lam))
-    # Reverse reading order (rows top to bottom, right to left within a
-    # row) so the lattice condition is a prefix property of the word.
-    cells = [
-        (r, c) for r in range(nrows) for c in range(nu[r] - 1, lamp[r] - 1, -1)
-    ]
-    grid = [[0] * nu[r] for r in range(nrows)]
-    counts = [0] * (nvals + 1)
-    total = 0
-
-    def fill(idx):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        hi = grid[r][c + 1] if c + 1 < nu[r] else nvals
-        lo = 1
-        if r > 0 and c >= lamp[r - 1]:
-            lo = grid[r - 1][c] + 1
-        for v in range(lo, hi + 1):
-            if counts[v] < mu[v - 1] and (v == 1 or counts[v - 1] > counts[v]):
-                counts[v] += 1
-                grid[r][c] = v
-                fill(idx + 1)
-                counts[v] -= 1
-
-    fill(0)
-    return total
-
-
-def _candidate_shapes(lam, mu, k):
-    """Partitions nu with |nu| = |lam|+|mu|, nu >= lam, length <= k."""
-    total = weight(lam) + weight(mu)
-    maxlen = min(k, len(lam) + len(mu))
-    if total == 0:
-        yield ()
-        return
-    if maxlen == 0:
-        return
-    lamp = list(pad(lam, maxlen))
-    first_cap = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-
-    def rec(i, prev, remaining):
-        if i == maxlen:
-            if remaining == 0:
-                yield ()
-            return
-        slots_after = maxlen - i - 1
-        hi = min(prev, remaining)
-        if i == 0:
-            hi = min(hi, first_cap)
-        for v in range(hi, lamp[i] - 1, -1):
-            rest = remaining - v
-            if rest < 0 or rest > v * slots_after:
-                continue
-            if v == 0 and rest > 0:
-                break
-            for tail in rec(i + 1, v, rest):
-                yield (v,) + tail
-
-    for shape in rec(0, total, total):
-        yield trim(shape)
+    lam, mu, nu = canonicalize(lam), canonicalize(mu), canonicalize(nu)
+    return _lr_table(lam, mu).get(nu, 0)
 
 
 def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
@@ -193,16 +156,9 @@ def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
         raise RankTooSmall(f"factor {list(lam)} needs rank >= {len(lam)}, got {k}")
     if len(mu) > k:
         raise RankTooSmall(f"factor {list(mu)} needs rank >= {len(mu)}, got {k}")
-    if not lam:
-        return Decomposition(group, {mu: 1})
-    if not mu:
-        return Decomposition(group, {lam: 1})
-    terms = {}
-    for nu in _candidate_shapes(lam, mu, k):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            terms[nu] = c
-    return Decomposition(group, terms)
+    return Decomposition(
+        group, {nu: c for nu, c in _lr_table(lam, mu).items() if len(nu) <= k}
+    )
 
 
 def tensor_multi(factors, k: int) -> Decomposition:

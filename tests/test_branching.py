@@ -117,6 +117,18 @@ def test_restriction_multiplicities_are_lr_sums():
     )
 
 
+def test_reciprocity_side_b_is_the_littlewood_sum():
+    for lam in (p for w in range(7) for p in iter_partitions(w, max_length=3)):
+        for n in range(max(1, len(lam)), 4):
+            k = 2 * n + 1
+            restricted = restrict_gl_to_so(lam, k)
+            rep = reciprocity_check(lam, n, k)
+            assert rep.all_agree, (lam, n)
+            for mu, _, side_b, _ in rep.rows:
+                assert side_b == dual_side_multiplicity(lam, mu, n), (lam, mu, n)
+                assert side_b == restricted[mu], (lam, mu, n)
+
+
 def test_diagonal_branch_examples():
     assert diagonal_branch([((1,), False), ((1,), False)], 3).terms == {
         (2,): 1,

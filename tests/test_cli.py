@@ -10,6 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import isotypic
+from isotypic import cli
 from isotypic.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -263,6 +264,27 @@ def test_cache_ignores_corruption_and_old_versions(tmp_path, capsys):
     cache.write_text(json.dumps(stale) + "\n")
     code, out, _ = invoke(capsys, *args)
     assert code == 0 and out.strip() == "9"
+
+
+def test_cache_ignores_records_of_other_engine_source(tmp_path, capsys, monkeypatch):
+    """A record keyed under another source fingerprint is never served,
+    even when it carries the current engine version."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["dim", "--group", "u", "--rank", "2", "--cache", str(cache), "8"]
+    assert invoke(capsys, *args)[:2] == (0, "9\n")
+    record = json.loads(cache.read_text())
+    assert record["key"] == cli.canonical_key(record["query"])
+    assert record["engine_version"] == isotypic.__version__
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_engine_fingerprint", lambda: "0" * 64)
+        other_key = cli.canonical_key(record["query"])
+    assert other_key != record["key"]
+    stale = dict(record, key=other_key)
+    stale["result"] = dict(record["result"], dim=12345)
+    cache.write_text(json.dumps(stale) + "\n")
+    assert invoke(capsys, *args)[:2] == (0, "9\n")
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 2 and json.loads(lines[1]) == record
 
 
 def test_cache_does_not_change_output(tmp_path, capsys):

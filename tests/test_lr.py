@@ -61,6 +61,21 @@ def test_lr_matches_brute_force():
             )
 
 
+def test_tensor_pair_matches_brute_force_past_oracle_ranks():
+    # At rank len(lam)+len(mu) nothing is cut off, so every nu of the
+    # right weight is compared; ranks 6-8 lie past the character oracle.
+    parts = all_partitions(4)
+    for lam, mu in product(parts, parts):
+        total = weight(lam) + weight(mu)
+        expected = {
+            nu: c
+            for nu in iter_partitions(total)
+            if (c := brute_lr(lam, mu, nu))
+        }
+        k = max(1, len(lam) + len(mu))
+        assert tensor_pair(lam, mu, k).terms == expected, (lam, mu)
+
+
 def test_lr_symmetry_up_to_weight_5():
     parts = all_partitions(5)
     for lam, mu in product(parts, parts):

@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import isotypic
+from isotypic import characters, fock
 
 
 def test_library_has_no_assert_statements():
@@ -14,3 +16,24 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_benchmark_targets_still_resolve():
+    """Every function the layer tracer rebinds must exist where it looks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    targets = [(module, attr) for _, module, attr, _ in layertrace.SPANNED]
+    targets += [(module, attr) for _, module, attr in layertrace.COUNTED]
+    missing = []
+    for module, attr in targets:
+        if module is None:
+            cls_name, meth = attr.split(".")
+            found = callable(getattr(fock, cls_name).__dict__.get(meth))
+        else:
+            found = callable(getattr(importlib.import_module(f"isotypic.{module}"), attr, None))
+        if not found:
+            missing.append(f"{module or 'fock'}.{attr}")
+    assert missing == []
+    assert callable(characters.so_character.cache_info)
