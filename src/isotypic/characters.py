@@ -146,7 +146,7 @@ def _iter_ssyt_contents(shape, k):
     yield from fill(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def schur_poly(lam: Signature, k: int) -> LaurentPoly:
     """Schur polynomial of lam in k variables, by tableau enumeration."""
     lam = canonicalize(lam)
@@ -156,7 +156,7 @@ def schur_poly(lam: Signature, k: int) -> LaurentPoly:
     return LaurentPoly(k, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     """Restrict the U(k) character of lam to the SO(k) maximal torus.
 
@@ -230,7 +230,7 @@ def leibniz_det(entries, one):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def so_character(mu: Signature, k: int) -> LaurentPoly:
     """Irreducible SO(k) character as an exact alternant ratio.
 

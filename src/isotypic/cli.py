@@ -5,7 +5,10 @@ rendered from that dict, so cached and fresh invocations are
 byte-identical.  The cache is a line-delimited JSON file, content
 addressed by a hash of the canonical query string and a fingerprint of
 the engine's source, so an edit to any module retires old records;
-corrupt lines are skipped with a warning and never change results.
+corrupt lines are skipped with a warning and never change results.  A
+lookup parses only the lines that may hold its key: a record that
+``cache_put`` wrote under another key is recognised by its first bytes
+and skipped unread, so damage inside such a record goes unreported.
 """
 
 from __future__ import annotations
@@ -361,10 +364,24 @@ def canonical_key(query: str) -> str:
 
 
 def cache_get(path: str, key: str):
-    """Look a record up by key; corrupt lines are skipped, never fatal."""
+    """Look a record up by key; corrupt lines are skipped, never fatal.
+
+    ``cache_put`` writes every record with its key first, so a line that
+    starts ``{"key": "`` with another key is skipped without being
+    parsed.  Every other line (the candidate, blank lines, garbage, a
+    record with its fields in another order) is parsed and checked as a
+    whole, and a line that does not parse draws a "corrupt" warning on
+    stderr.  A damaged record under another key is therefore skipped in
+    silence.  Skipping can only turn a hit into a miss, never serve a
+    record of another query.
+    """
+    other = '{"key": "'
+    mine = '{"key": ' + json.dumps(key)
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
+                if line.startswith(other) and not line.startswith(mine):
+                    continue
                 line = line.strip()
                 if not line:
                     continue

@@ -18,15 +18,18 @@ MixedSignature = tuple[int, ...]
 
 
 def canonicalize(parts) -> Signature:
-    """Trim trailing zeros from a weakly decreasing part list.
+    """Trim trailing zeros from a weakly decreasing, nonnegative part list.
 
     Unsorted input is rejected, never repaired: silent sorting would hide
-    caller bugs in multiplicity bookkeeping.
+    caller bugs in multiplicity bookkeeping.  Negative parts belong to
+    mixed signatures (see ``mixed``) and are rejected here too.
     """
     parts = tuple(int(p) for p in parts)
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
+    if parts and parts[-1] < 0:
+        raise NotDecreasing(f"negative part in signature {list(parts)}")
     end = len(parts)
     while end > 0 and parts[end - 1] == 0:
         end -= 1

@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -285,6 +287,71 @@ def test_cache_ignores_records_of_other_engine_source(tmp_path, capsys, monkeypa
     assert invoke(capsys, *args)[:2] == (0, "9\n")
     lines = cache.read_text().splitlines()
     assert len(lines) == 2 and json.loads(lines[1]) == record
+
+
+def test_cache_lookup_parses_only_the_candidate(tmp_path, monkeypatch):
+    """Records that cache_put wrote under other keys are skipped unparsed."""
+    cache = str(tmp_path / "cache.jsonl")
+    for i in range(2000):
+        cli.cache_put(cache, cli.QueryRecord(
+            cli.canonical_key(f"dim|u|rank=3|{i}"), f"dim|u|rank=3|{i}", {"dim": i},
+            isotypic.__version__,
+        ))
+    key = cli.canonical_key("dim|u|rank=2|8")
+    wanted = cli.QueryRecord(key, "dim|u|rank=2|8", {"dim": 9}, isotypic.__version__)
+    cli.cache_put(cache, wanted)
+    calls = []
+
+    def counting_loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(
+        loads=counting_loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError,
+    ))
+    assert cli.cache_get(cache, key) == wanted
+    assert len(calls) == 1
+
+
+def _cached_dim_query(tmp_path, capsys):
+    """Run one cached ``dim`` query; return its argv, the cache path and its one line."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["dim", "--group", "u", "--rank", "2", "--cache", str(cache), "8"]
+    code, out, err = invoke(capsys, *args)
+    assert (code, out, err) == (0, "9\n", "")
+    return args, cache, cache.read_text()
+
+
+def test_cache_skips_damaged_record_of_another_key(tmp_path, capsys):
+    args, cache, line = _cached_dim_query(tmp_path, capsys)
+    other = json.dumps(asdict(cli.QueryRecord(
+        cli.canonical_key("dim|u|rank=3|1"), "dim|u|rank=3|1",
+        {"group": {"family": "u", "rank": 3}, "signature": [1], "dim": 3},
+        isotypic.__version__,
+    )))
+    cache.write_text(other[: len(other) // 2] + "\n" + line)
+    before = cache.read_text()
+    assert invoke(capsys, *args) == (0, "9\n", "")
+    assert cache.read_text() == before
+
+
+def test_cache_reports_damaged_record_of_its_own_key(tmp_path, capsys):
+    args, cache, line = _cached_dim_query(tmp_path, capsys)
+    cache.write_text(line[: len(line) // 2] + "\n")
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (0, "9\n") and "corrupt" in err
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 2 and lines[1] + "\n" == line
+
+
+def test_cache_serves_record_with_fields_in_another_order(tmp_path, capsys):
+    args, cache, line = _cached_dim_query(tmp_path, capsys)
+    record = json.loads(line)
+    reordered = {"engine_version": record.pop("engine_version"), **record}
+    cache.write_text(json.dumps(reordered) + "\n")
+    before = cache.read_text()
+    assert invoke(capsys, *args) == (0, "9\n", "")
+    assert cache.read_text() == before
 
 
 def test_cache_does_not_change_output(tmp_path, capsys):

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from isotypic.branching import (
+    diagonal_branch,
+    dual_side_multiplicity,
+    reciprocity_check,
+    restrict_gl_to_so,
+    restrict_gl_to_sp,
+)
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint
+from isotypic.lr import lr_coefficient, tensor_multi, tensor_pair
 from isotypic.signatures import (
     GroupFamily,
     canonicalize,
@@ -15,6 +23,7 @@ from isotypic.signatures import (
     shift_mixed,
     weight,
 )
+from isotypic.stable_limits import identity_multiplicity, stable_branch, stable_tensor
 
 
 @st.composite
@@ -45,6 +54,32 @@ def test_canonicalize_trims_zeros():
 def test_canonicalize_rejects_unsorted():
     with pytest.raises(NotDecreasing):
         canonicalize([1, 2])
+
+
+def test_negative_parts_are_rejected_at_every_entry_point():
+    """Negative parts belong to mixed signatures; the partition API refuses them."""
+    neg = (3, 2, -1)
+    calls = [
+        lambda: canonicalize(neg),
+        lambda: canonicalize((0, -1)),
+        lambda: tensor_pair(neg, (1,), 4),
+        lambda: tensor_pair((), (-3, -3), 4),
+        lambda: lr_coefficient((2,), neg, (4, 2)),
+        lambda: lr_coefficient((2,), (1,), (3, 1, -1)),
+        lambda: tensor_multi([(1,), neg], 4),
+        lambda: diagonal_branch([(neg, False), ((1,), True)], 4),
+        lambda: restrict_gl_to_so(neg, 9),
+        lambda: restrict_gl_to_sp(neg, 10),
+        lambda: dual_side_multiplicity(neg, (1,), 3),
+        lambda: reciprocity_check(neg, 3, 7),
+        lambda: stable_tensor([(1,), neg]),
+        lambda: stable_branch(neg, "so"),
+        lambda: identity_multiplicity([(1,)], neg),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(NotDecreasing):
+            call()
+            pytest.fail(f"call {i} accepted a negative part")
 
 
 @given(partitions())

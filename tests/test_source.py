@@ -3,7 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import isotypic
-from isotypic import characters, fock
+from isotypic import characters, fock, lr
 
 
 def test_library_has_no_assert_statements():
@@ -37,3 +37,10 @@ def test_traced_benchmark_targets_still_resolve():
             missing.append(f"{module or 'fock'}.{attr}")
     assert missing == []
     assert callable(characters.so_character.cache_info)
+    memos = [
+        characters.schur_poly,
+        characters.schur_laurent_on_so_torus,
+        characters.so_character,
+        lr._lr_table,
+    ]
+    assert all(memo.cache_parameters()["maxsize"] is not None for memo in memos)
