@@ -3,20 +3,23 @@
 The Littlewood restriction rule gives the multiplicity of mu in lam as a
 sum of LR coefficients c^lam_{mu,delta} over auxiliary partitions delta
 with all parts even (SO) or all columns even (Sp).  One function,
-`_littlewood_terms`, computes that sum for every mu at once; the
-restrictions, the dual-side (lowest-K-type) multiplicity and side B of
-the reciprocity report all read its table.  Side A recomputes the
-restriction through the character oracle, so the two sides stay
-computationally independent.
+`_littlewood_terms`, computes that sum for every mu at once and keeps
+the table in a bounded memo keyed by (lam, delta family), since it does
+not depend on k; the restrictions, the dual-side (lowest-K-type)
+multiplicity and side B of the reciprocity report all read it.  Side A
+recomputes the restriction through the character oracle on every call
+and never reads that memo, so the two sides stay computationally
+independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import greedy_decompose, schur_laurent_on_so_torus
 from .errors import OddRank, OutsideStableRange, RankTooSmall
-from .lr import Decomposition, _lr_table, contragredient, tensor_mixed, tensor_multi
+from .lr import Decomposition, _fold, _lr_table, _mixed_table, contragredient, tensor_multi
 from .signatures import (
     GroupFamily,
     Signature,
@@ -46,11 +49,14 @@ def _even_column_partitions(total, max_length):
         yield tuple(out)
 
 
+@lru_cache(maxsize=1 << 10)
 def _littlewood_terms(lam: Signature, deltas) -> dict:
     """``{mu: sum over delta of c^lam_{mu,delta}}`` for canonical lam.
 
     `deltas(total, max_length)` lists the auxiliary partitions; only the
-    delta and mu within lam's length and first row are tried.
+    delta and mu within lam's length and first row are tried.  The sum
+    does not depend on k, so the table is memoised per (lam, deltas) and
+    shared: do not mutate it.
     """
     terms: dict = {}
     wt = weight(lam)
@@ -161,11 +167,5 @@ def diagonal_branch(factors, k: int) -> Decomposition:
         contragredient(pad(sig, k)) if flag else pad(sig, k)
         for sig, flag in prepared
     ]
-    acc = {mixed[0]: 1}
-    for nxt in mixed[1:]:
-        step: dict = {}
-        for sig, mult in acc.items():
-            for tau, c in tensor_mixed(sig, nxt, k):
-                step[tau] = step.get(tau, 0) + mult * c
-        acc = step
-    return Decomposition(GroupFamily("u", k), acc)
+    table = lambda sig, nxt: _mixed_table(sig, nxt, k)
+    return Decomposition(GroupFamily("u", k), _fold(mixed, k, table))

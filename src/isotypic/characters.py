@@ -46,10 +46,6 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
@@ -303,14 +299,8 @@ def dim(group: GroupFamily, sig: Signature) -> int:
     k = group.rank
     if group.family == "u":
         lam = pad(sig, k)
-        val = prod(
-            (
-                Fraction(lam[i] - lam[j] + j - i, j - i)
-                for i in range(k)
-                for j in range(i + 1, k)
-            ),
-            start=Fraction(1),
-        )
+        num = prod(lam[i] - lam[j] + j - i for i in range(k) for j in range(i + 1, k))
+        den = prod(j - i for i in range(k) for j in range(i + 1, k))
     else:
         # Types C, B, D: b is rho and a = lam + rho, both doubled for B to
         # stay integral; only C and B have the linear factors a_i/b_i.
@@ -322,27 +312,17 @@ def dim(group: GroupFamily, sig: Signature) -> int:
         else:
             scale, linear, b = 1, False, [half - i - 1 for i in range(half)]
         a = [scale * m + r for m, r in zip(pad(sig, half), b)]
-        val = Fraction(1)
-        if linear:
-            val = prod((Fraction(x, y) for x, y in zip(a, b)), start=val)
-        val *= prod(
-            (
-                Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
-                for i in range(half)
-                for j in range(i + 1, half)
-            ),
-            start=Fraction(1),
+        num, den = (prod(a), prod(b)) if linear else (1, 1)
+        for i in range(half):
+            for j in range(i + 1, half):
+                num *= a[i] ** 2 - a[j] ** 2
+                den *= b[i] ** 2 - b[j] ** 2
+    val, rem = divmod(num, den)
+    if rem:
+        raise DivisionNotExact(
+            f"Weyl dimension product {Fraction(num, den)} is not integral"
         )
-    if val.denominator != 1:
-        raise DivisionNotExact(f"Weyl dimension product {val} is not integral")
-    return int(val)
-
-
-def _is_dominant(exps, family):
-    for a, b in zip(exps, exps[1:]):
-        if a < b:
-            return False
-    return not exps or exps[-1] >= 0
+    return val
 
 
 def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
@@ -350,7 +330,9 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
 
     At each step the lexicographically greatest surviving monomial is a
     dominance-maximal weight; for a genuine character sum it is dominant
-    and appears with positive multiplicity, otherwise we abort.
+    and appears with positive multiplicity, otherwise we abort.  Each
+    peel subtracts in place from one copy of chi's terms; chi and the
+    memoised characters are only read.
     """
     if group.family == "u":
         irreducible = lambda m: schur_poly(m, group.rank)
@@ -358,12 +340,12 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
         irreducible = lambda m: so_character(m, group.rank)
     else:
         raise ValueError(f"no character basis for family {group.family!r}")
-    work = chi
+    work = dict(chi.terms)
     found: dict = {}
-    while not work.is_zero():
-        top = max(work.terms)
-        mult = work.terms[top]
-        if not _is_dominant(top, group.family):
+    while work:
+        top = max(work)
+        mult = work[top]
+        if any(a < b for a, b in zip(top, top[1:])) or (top and top[-1] < 0):
             raise NegativeMultiplicity(
                 f"leading monomial {list(top)} is not a dominant weight"
             )
@@ -372,7 +354,13 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
                 f"weight {list(top)} received multiplicity {mult}"
             )
         sig = trim(top)
-        work = work - mult * irreducible(sig)
+        # Terms are nonzero and mult > 0, so a missing key never cancels.
+        for e, c in irreducible(sig).terms.items():
+            s = work.get(e, 0) - mult * c
+            if s:
+                work[e] = s
+            else:
+                del work[e]
         found[sig] = mult
     return Decomposition(group, found)
 

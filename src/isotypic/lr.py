@@ -161,11 +161,25 @@ def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
     )
 
 
+def _fold(factors, k: int, table) -> dict:
+    """Multiply out factors in order as ``{sig: mult}``, reading each product
+    from the shared table `table(sig, nxt)` and dropping terms longer than k."""
+    acc = {factors[0]: 1}
+    for nxt in factors[1:]:
+        step: dict = {}
+        for sig, mult in acc.items():
+            for nu, c in table(sig, nxt).items():
+                if len(nu) <= k:
+                    step[nu] = step.get(nu, 0) + mult * c
+        acc = step
+    return acc
+
+
 def tensor_multi(factors, k: int) -> Decomposition:
     """Iterated U(k) tensor product; result is association independent.
 
     Factors are multiplied in ascending weight order to keep the
-    intermediate decompositions small.
+    intermediate tables small.
     """
     factors = [canonicalize(f) for f in factors]
     group = GroupFamily("u", k)  # RankConstraint unless k >= 1
@@ -175,14 +189,7 @@ def tensor_multi(factors, k: int) -> Decomposition:
     if not factors:
         return Decomposition(group, {(): 1})
     factors.sort(key=lambda f: (weight(f), f))
-    acc = {factors[0]: 1}
-    for nxt in factors[1:]:
-        step: dict = {}
-        for sig, mult in acc.items():
-            for nu, c in tensor_pair(sig, nxt, k):
-                step[nu] = step.get(nu, 0) + mult * c
-        acc = step
-    return Decomposition(group, acc)
+    return Decomposition(group, _fold(factors, k, _lr_table))
 
 
 def contragredient(sig: MixedSignature) -> MixedSignature:
@@ -190,23 +197,28 @@ def contragredient(sig: MixedSignature) -> MixedSignature:
     return tuple(-p for p in reversed(sig))
 
 
-def tensor_mixed(sigma: MixedSignature, tau: MixedSignature, k: int) -> Decomposition:
-    """Tensor product of two rank-k mixed signatures.
+def _mixed_table(sigma: MixedSignature, tau: MixedSignature, k: int) -> dict:
+    """Product of rank-k mixed signatures as ``{rho: c}``.
 
     Both factors are shifted by determinant powers until nonnegative,
-    multiplied by LR, and the results shifted back; the outcome does not
-    depend on the shifts chosen.
+    multiplied by LR, cut to length k and shifted back; the outcome does
+    not depend on the shifts chosen.
     """
+    a = max(0, -sigma[-1]) if sigma else 0
+    b = max(0, -tau[-1]) if tau else 0
+    lam = canonicalize(trim(shift_mixed(sigma, a)))
+    mu = canonicalize(trim(shift_mixed(tau, b)))
+    return {
+        shift_mixed(pad(nu, k), -(a + b)): c
+        for nu, c in _lr_table(lam, mu).items()
+        if len(nu) <= k
+    }
+
+
+def tensor_mixed(sigma: MixedSignature, tau: MixedSignature, k: int) -> Decomposition:
+    """Tensor product of two rank-k mixed signatures."""
     if len(sigma) != k or len(tau) != k:
         raise RankMismatch(
             f"mixed signatures {list(sigma)}, {list(tau)} must have declared rank {k}"
         )
-    a = max(0, -sigma[-1]) if sigma else 0
-    b = max(0, -tau[-1]) if tau else 0
-    lam = trim(shift_mixed(sigma, a))
-    mu = trim(shift_mixed(tau, b))
-    plain = tensor_pair(lam, mu, k)
-    terms = {}
-    for nu, c in plain:
-        terms[shift_mixed(pad(nu, k), -(a + b))] = c
-    return Decomposition(GroupFamily("u", k), terms)
+    return Decomposition(GroupFamily("u", k), _mixed_table(sigma, tau, k))

@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 
 from isotypic.branching import (
+    _even_row_partitions,
+    _littlewood_terms,
     branch_rank1_closed_form,
     diagonal_branch,
     dual_side_multiplicity,
@@ -10,7 +12,7 @@ from isotypic.branching import (
     restrict_gl_to_so,
     restrict_gl_to_sp,
 )
-from isotypic.characters import dim
+from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
 from isotypic.errors import OddRank, OutsideStableRange, RankTooSmall
 from isotypic.lr import tensor_pair
 from isotypic.signatures import GroupFamily, iter_partitions, weight
@@ -148,3 +150,23 @@ def test_diagonal_branch_matches_tensor_pair_when_direct():
             diagonal_branch([(lam, False), (mu, False)], k).terms
             == tensor_pair(lam, mu, k).terms
         )
+
+
+def test_poisoned_littlewood_memo_shows_as_disagreement():
+    """Side B reads the Littlewood memo, side A never does."""
+    lam, n, k = (2, 1), 2, 5
+    _littlewood_terms.cache_clear()
+    clean = reciprocity_check(lam, n, k)
+    oracle = greedy_decompose(schur_laurent_on_so_torus(lam, k), GroupFamily("so", k))
+    assert clean.all_agree and {row[0]: row[1] for row in clean.rows} == oracle.terms
+    try:
+        _littlewood_terms(lam, _even_row_partitions)[(1,)] += 1
+        poisoned = reciprocity_check(lam, n, k)
+        assert not poisoned.all_agree
+        assert {row[0]: row[1] for row in poisoned.rows} == oracle.terms
+        assert [row for row in poisoned.rows if not row[3]] == [((1,), 1, 2, False)]
+        assert restrict_gl_to_so(lam, 7)[(1,)] == 2
+    finally:
+        _littlewood_terms.cache_clear()
+    assert reciprocity_check(lam, n, k) == clean
+    assert restrict_gl_to_so(lam, 7)[(1,)] == 1

@@ -184,3 +184,38 @@ def test_harmonic_dimension_formula():
             assert dim(GroupFamily("so", k), (r,) if r else ()) == harmonic_dim(
                 k, r
             )
+
+
+def test_greedy_decompose_only_reads_its_input_and_the_memos():
+    """Peeling works on a copy: chi and the memoised characters stay intact."""
+    cases = [
+        (schur_laurent_on_so_torus((3, 1), 7), GroupFamily("so", 7), so_character),
+        (so_character((2, 1), 6), GroupFamily("so", 6), so_character),
+        (schur_poly((2, 1), 3), GroupFamily("u", 3), schur_poly),
+        (schur_poly((1,), 3) * schur_poly((2, 1), 3), GroupFamily("u", 3), schur_poly),
+    ]
+    for chi, group, irreducible in cases:
+        before = dict(chi.terms)
+        dec = greedy_decompose(chi, group)
+        memo = {mu: dict(irreducible(mu, group.rank).terms) for mu in dec.signatures()}
+        assert greedy_decompose(chi, group) == dec
+        assert chi.terms == before
+        assert all(irreducible(mu, group.rank).terms == t for mu, t in memo.items())
+    chi = schur_poly((2, 1), 3)
+    assert greedy_decompose(chi, GroupFamily("u", 3)).terms == {(2, 1): 1}
+    assert chi is schur_poly((2, 1), 3) and chi.eval_at_ones() == 8
+
+
+def test_dim_reports_a_non_integral_product_as_a_reduced_fraction(monkeypatch):
+    """The message names the whole Weyl product as one reduced fraction."""
+    from fractions import Fraction
+
+    from isotypic import characters
+
+    monkeypatch.setattr(characters, "pad", lambda sig, rank: (Fraction(1, 2),) + (0,) * (rank - 1))
+    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 3/2 is not integral$"):
+        dim(GroupFamily("u", 2), (1,))
+    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 15/8 is not integral$"):
+        dim(GroupFamily("u", 3), (1,))
+    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 3/2 is not integral$"):
+        dim(GroupFamily("sp", 2), (1,))

@@ -1,0 +1,102 @@
+"""Pinned digest of the rendered outputs of a fixed query grid.
+
+Every line renders one call (its result, or its exception class and
+message), and the sha256 of all lines is pinned.  A change that keeps the
+digest keeps every answer, every ordering and every error on the grid
+byte-identical; a change that means to alter an output must update the
+digest and say why.
+"""
+
+import hashlib
+
+from isotypic.branching import (
+    diagonal_branch,
+    reciprocity_check,
+    restrict_gl_to_so,
+    restrict_gl_to_sp,
+)
+from isotypic.characters import dim
+from isotypic.errors import IsotypicError
+from isotypic.lr import tensor_mixed, tensor_multi
+from isotypic.signatures import GroupFamily, iter_partitions
+from isotypic.stable_limits import identity_multiplicity, stable_branch
+
+OUTPUT_LINES = 1025
+OUTPUT_DIGEST = "66ffe6e37e4c7e1e70ad7a7a5e169fc47637d00423520f0418a0187f6fdb51c7"
+
+
+def _partitions(max_weight, max_length=None):
+    return [
+        p for w in range(max_weight + 1) for p in iter_partitions(w, max_length=max_length)
+    ]
+
+
+def _render(value):
+    if hasattr(value, "rows"):
+        return f"{value.rows!r} all_agree={value.all_agree}"
+    if hasattr(value, "k0"):
+        probes = " ".join(f"{k}:{dec!r}" for k, dec in value.probes)
+        return f"{value.stable!r} k0={value.k0} probes={probes}"
+    return repr(value)
+
+
+def _call(lines, name, fn, *args):
+    try:
+        out = _render(fn(*args))
+    except (IsotypicError, ValueError) as exc:
+        out = f"!{type(exc).__name__}: {exc}"
+    lines.append(f"{name}{args!r} -> {out}")
+
+
+def grid_lines():
+    lines = []
+    small = _partitions(5, max_length=3)
+    for lam in small:
+        for k in range(2 * len(lam), 2 * len(lam) + 3):
+            _call(lines, "restrict_gl_to_so", restrict_gl_to_so, lam, k)
+            _call(lines, "restrict_gl_to_sp", restrict_gl_to_sp, lam, k)
+        for target in ("so", "sp"):
+            _call(lines, "stable_branch", stable_branch, lam, target)
+    _call(lines, "stable_branch", stable_branch, (1,), "u")
+    for lam in _partitions(4, max_length=3):
+        n = max(1, len(lam))
+        for k in range(2 * n, 8):
+            _call(lines, "reciprocity_check", reciprocity_check, lam, n, k)
+        _call(lines, "reciprocity_check", reciprocity_check, lam, n - 1, 7)
+    factors = _partitions(2)
+    for k in (1, 2, 3):
+        for i, a in enumerate(factors):
+            for b in factors[i:]:
+                _call(lines, "tensor_multi", tensor_multi, [a, b, (1,)], k)
+        _call(lines, "tensor_multi", tensor_multi, [], k)
+    for k in (2, 3, 4):
+        for a in _partitions(3):
+            _call(lines, "tensor_multi", tensor_multi, [(2, 1), a, (1, 1), a], k)
+    _call(lines, "tensor_multi", tensor_multi, [(1,)], 0)
+    mixed = [(1, 0, -1), (2, 0, 0), (0, 0, -2), (1, 1, -1), (2, -1, -1), (0, 0, 0)]
+    for a in mixed:
+        for b in mixed:
+            _call(lines, "tensor_mixed", tensor_mixed, a, b, 3)
+    _call(lines, "tensor_mixed", tensor_mixed, (1, 0), (1, 0, 0), 3)
+    _call(lines, "tensor_mixed", tensor_mixed, (1,), (-1,), 1)
+    for k in (1, 2, 3):
+        for flags in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 1, 1)):
+            for a, b in (((1,), (1,)), ((2,), (1, 1)), ((2, 1), (1,))):
+                sigs = (a, b, (1,))[: len(flags)]
+                _call(lines, "diagonal_branch", diagonal_branch, list(zip(sigs, flags)), k)
+    for a in _partitions(2):
+        for b in _partitions(2):
+            for mu in _partitions(4):
+                _call(lines, "identity_multiplicity", identity_multiplicity, [a, b], mu)
+    for family, ranks in (("u", range(1, 9)), ("so", range(1, 12)), ("sp", range(2, 12, 2))):
+        for k in ranks:
+            for sig in _partitions(5, max_length=5) + [(9, 4, 4, 1), (12, 7, 3, 3, 2)]:
+                _call(lines, "dim", dim, GroupFamily(family, k), sig)
+    _call(lines, "dim", dim, GroupFamily("u", "stable"), (1,))
+    return lines
+
+
+def test_rendered_outputs_match_pinned_digest():
+    lines = grid_lines()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (OUTPUT_LINES, OUTPUT_DIGEST)

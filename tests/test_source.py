@@ -3,7 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import isotypic
-from isotypic import characters, fock, lr
+from isotypic import branching, characters, fock, lr
 
 
 def test_library_has_no_assert_statements():
@@ -38,6 +38,7 @@ def test_traced_benchmark_targets_still_resolve():
     assert missing == []
     assert callable(characters.so_character.cache_info)
     memos = [
+        branching._littlewood_terms,
         characters.schur_poly,
         characters.schur_laurent_on_so_torus,
         characters.so_character,
