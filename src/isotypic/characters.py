@@ -18,6 +18,7 @@ from .errors import (
     NegativeMultiplicity,
     RankConstraint,
     RankTooLarge,
+    ReconstructionFailed,
     SignatureTooLong,
 )
 from .lr import Decomposition
@@ -331,8 +332,8 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
     At each step the lexicographically greatest surviving monomial is a
     dominance-maximal weight; for a genuine character sum it is dominant
     and appears with positive multiplicity, otherwise we abort.  Each
-    peel subtracts in place from one copy of chi's terms; chi and the
-    memoised characters are only read.
+    peel subtracts in place from one copy of chi's terms and must remove
+    its leading weight; chi and the memoised characters are only read.
     """
     if group.family == "u":
         irreducible = lambda m: schur_poly(m, group.rank)
@@ -361,6 +362,8 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
                 work[e] = s
             else:
                 del work[e]
+        if top in work:
+            raise ReconstructionFailed(f"peeling {list(sig)} left its leading weight")
         found[sig] = mult
     return Decomposition(group, found)
 

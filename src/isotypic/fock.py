@@ -10,10 +10,10 @@ vectors of the classical dual pairs.
 Coefficients are Gaussian rationals with int parts, promoted to Fraction
 only where a division or a non-integral input needs one: exact
 arithmetic throughout, so operator identities are decided, not sampled.
-Terms are keyed by dense exponent tuples; the kernel loops (operator
-composition and application, substitution) visit only the nonzero
-exponents of each term.  The relation checks ``verify_sl2``,
-``verify_sp2n`` and ``verify_supq`` live here too.
+Terms are keyed by dense exponent tuples; the kernel loops visit only
+the nonzero exponents of each term.  Commutators keep only contracted
+terms, since the uncontracted ones of ab and ba cancel; on them rest the
+relation checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import (
     compress as _compress,
     count as _count,
+    islice as _islice,
     product as _iterproduct,
 )
 from math import comb, factorial, perm
@@ -64,6 +65,11 @@ def _gauss(re, im):
     return out
 
 
+def _operand(x):
+    """x as a GaussRat, or None for a non-scalar; unlike coerce, never renders x."""
+    return GaussRat.coerce(x) if isinstance(x, (GaussRat, int, Fraction)) else None
+
+
 class GaussRat:
     """A Gaussian rational re + im*i with exact rational parts.
 
@@ -88,9 +94,8 @@ class GaussRat:
 
     def __add__(self, other):
         if type(other) is not GaussRat:
-            try:
-                other = GaussRat.coerce(other)
-            except TypeError:
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         return _gauss(self.re + other.re, self.im + other.im)
 
@@ -101,9 +106,8 @@ class GaussRat:
 
     def __sub__(self, other):
         if type(other) is not GaussRat:
-            try:
-                other = GaussRat.coerce(other)
-            except TypeError:
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         return _gauss(self.re - other.re, self.im - other.im)
 
@@ -114,9 +118,8 @@ class GaussRat:
         if type(other) is not GaussRat:
             if type(other) is int:
                 return _gauss(self.re * other, self.im * other)
-            try:
-                other = GaussRat.coerce(other)
-            except TypeError:
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if b or d:
@@ -151,9 +154,8 @@ class GaussRat:
 
     def __eq__(self, other):
         if type(other) is not GaussRat:
-            try:
-                other = GaussRat.coerce(other)
-            except TypeError:
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -476,34 +478,7 @@ class WeylOp(_TermMap):
     def __matmul__(self, other: "WeylOp") -> "WeylOp":
         """Composition, renormalized via d^a x^b = sum_j C(a,j)C(b,j)j! x^(b-j)d^(a-j)."""
         self._require_same_shape(other)
-        out: dict = {}
-        right = [(zb, db, _items(zb), cb) for (zb, db), cb in other.terms.items()]
-        for (za, da), ca in self.terms.items():
-            lower = _items(da)
-            for zb, db, raise_b, cb in right:
-                znew = list(za)
-                for i, x in raise_b:
-                    znew[i] += x
-                dnew = list(db)
-                for i, x in lower:
-                    dnew[i] += x
-                base = ca * cb
-                overlap = [(i, x, zb[i]) for i, x in lower if zb[i]]
-                if not overlap:
-                    _add_into(out, (tuple(znew), tuple(dnew)), base)
-                    continue
-                ranges = [range(min(x, y) + 1) for _, x, y in overlap]
-                for js in _iterproduct(*ranges):
-                    coeff = base
-                    zj = znew[:]
-                    dj = dnew[:]
-                    for (i, x, y), j in zip(overlap, js):
-                        if j:
-                            coeff = coeff * (comb(x, j) * comb(y, j) * factorial(j))
-                            zj[i] -= j
-                            dj[i] -= j
-                    _add_into(out, (tuple(zj), tuple(dj)), coeff)
-        return WeylOp._new(self.shape, out)
+        return WeylOp._new(self.shape, _compose_into({}, self, other, False, 1))
 
     def apply(self, f: FockPoly) -> FockPoly:
         if self.shape != f.shape:
@@ -545,8 +520,49 @@ def weyl_apply(op: WeylOp, f: FockPoly) -> FockPoly:
     return op.apply(f)
 
 
+def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool, sign: int):
+    """Add sign * (left @ right) into out and return it; see WeylOp.__matmul__.
+
+    contracted_only drops the j = 0 term of every term pair: a pair whose
+    left derivatives meet no right multiplication has no other term.
+    """
+    terms_b = [(zb, db, dict(_items(zb)), cb) for (zb, db), cb in right.terms.items()]
+    for (za, da), ca in left.terms.items():
+        lower = dict(_items(da))
+        ca = ca * sign
+        for zb, db, raise_b, cb in terms_b:
+            if contracted_only and lower.keys().isdisjoint(raise_b):
+                continue
+            znew = list(za)
+            for i, x in raise_b.items():
+                znew[i] += x
+            dnew = list(db)
+            for i, x in lower.items():
+                dnew[i] += x
+            base = ca * cb
+            overlap = [(i, x, zb[i]) for i, x in lower.items() if zb[i]]
+            ranges = [range(min(x, y) + 1) for _, x, y in overlap]
+            # product() yields the all-zero js first (the only js when
+            # nothing overlaps); islice drops it when asked.
+            for js in _islice(_iterproduct(*ranges), contracted_only, None):
+                coeff = base
+                zj = znew[:]
+                dj = dnew[:]
+                for (i, x, y), j in zip(overlap, js):
+                    if j:
+                        coeff = coeff * (comb(x, j) * comb(y, j) * factorial(j))
+                        zj[i] -= j
+                        dj[i] -= j
+                _add_into(out, (tuple(zj), tuple(dj)), coeff)
+    return out
+
+
 def weyl_commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return (a @ b) - (b @ a)
+    """[a, b] from contracted terms only: the j = 0 term of a term pair in
+    a @ b equals that of the swapped pair in b @ a, so the two cancel."""
+    a._require_same_shape(b)
+    out = _compose_into({}, a, b, True, 1)
+    return WeylOp._new(a.shape, _compose_into(out, b, a, True, -1))
 
 
 def sl2_generators(k: int):
@@ -657,11 +673,12 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
         return 1 if i == j else 0
 
     def combo(table, pieces):
-        out = WeylOp.zero(shape)
+        out: dict = {}
         for coeff, idx in pieces:
             if coeff:
-                out = out + coeff * table[idx]
-        return out
+                for key, c in table[idx].terms.items():
+                    _add_into(out, key, c * coeff)
+        return WeylOp._new(shape, out)
 
     rng = range(1, n + 1)
     checked = 0

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here shares code with the package: LR coefficients come from
-enumerating every raw filling of the skew diagram, and dimensions from a
-standalone tableau counter, so agreement is meaningful.
+enumerating every raw filling of the skew diagram, dimensions from a
+standalone tableau counter and quadratic operator identities from
+ad-matrices read off the term maps, so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -162,3 +163,108 @@ def probe_until_stable(compute_at, k_start, confirm=2, step=1):
         if run_length >= confirm:
             return terms, run_start, probes
     raise ProbeCapReached(f"no stable answer within {PROBE_CAP} ranks from {k_start}")
+
+
+# Quadratic Weyl operators through their adjoint action (R. Howe, "Remarks
+# on classical invariant theory", Trans. AMS 313 (1989) 539-570).  For X, Y
+# of degree <= 2 in the z_i and d_i, X = Y exactly when ad_X = ad_Y on
+# span{z_i, d_i, 1} and X.1 = Y.1, since the centre of the Weyl algebra is
+# the scalars.  ad is a Lie homomorphism, so ad_[X,Y] = [ad_X, ad_Y]: a
+# relation [X, Y] = R is decided without composing operators.  Only the
+# shapes and term maps of the operators are read, the coefficients as
+# (Fraction, Fraction) pairs.
+
+ZERO = gauss_ref(0)
+
+
+def _accumulate(out, key, c):
+    total = gauss_add(out.get(key, ZERO), c)
+    if total == ZERO:
+        out.pop(key, None)
+    else:
+        out[key] = total
+
+
+def _quadratic_terms(op):
+    """{(z, d): (re, im)} for a WeylOp of total degree <= 2."""
+    terms = {}
+    for (z, d), c in op.terms.items():
+        if sum(z) + sum(d) > 2:
+            raise ValueError("the ad-matrix oracle needs quadratic operators")
+        terms[(tuple(z), tuple(d))] = gauss_ref(c.re, c.im)
+    return terms
+
+
+def _linear_basis(z, d):
+    """The basis vector ("z", i), ("d", i) or ("1", 0) of a monomial of degree <= 1."""
+    for kind, e in (("z", z), ("d", d)):
+        for i, x in enumerate(e):
+            if x:
+                return (kind, i)
+    return ("1", 0)
+
+
+def ad_matrix(op):
+    """ad_X on span{z_i, d_i, 1} as {(image vector, basis vector): coefficient}."""
+    m = {}
+    for (z, d), c in _quadratic_terms(op).items():
+        for i in range(len(z)):
+            if d[i]:  # [z^a d^b, z_i] = b_i z^a d^(b - e_i)
+                lowered = d[:i] + (d[i] - 1,) + d[i + 1:]
+                _accumulate(m, (_linear_basis(z, lowered), ("z", i)), gauss_mul(gauss_ref(d[i]), c))
+            if z[i]:  # [z^a d^b, d_i] = -a_i z^(a - e_i) d^b
+                lowered = z[:i] + (z[i] - 1,) + z[i + 1:]
+                _accumulate(m, (_linear_basis(lowered, d), ("d", i)), gauss_mul(gauss_ref(-z[i]), c))
+    return m
+
+
+def _matrix_product(m1, m2):
+    out = {}
+    for (row, mid), a in m1.items():
+        for (mid2, col), b in m2.items():
+            if mid == mid2:
+                _accumulate(out, (row, col), gauss_mul(a, b))
+    return out
+
+
+def _vacuum_apply(op, poly):
+    """Apply a quadratic operator to {z exponents: (re, im)} by differentiating."""
+    out = {}
+    for (z, d), c in _quadratic_terms(op).items():
+        for e, a in poly.items():
+            if any(x < y for x, y in zip(e, d)):
+                continue
+            fall = 1
+            for x, y in zip(e, d):
+                for t in range(y):
+                    fall *= x - t
+            new = tuple(x - y + w for x, y, w in zip(e, d, z))
+            _accumulate(out, new, gauss_mul(gauss_ref(fall), gauss_mul(c, a)))
+    return out
+
+
+def _combination(pieces):
+    """sum of c * m over (c, m) pairs of sparse dicts."""
+    out = {}
+    for c, m in pieces:
+        for key, value in m.items():
+            _accumulate(out, key, gauss_mul(gauss_ref(c), value))
+    return out
+
+
+def quadratic_relation_holds(x, y, rhs):
+    """Decide [x, y] = sum(c * g for c, g in rhs) for quadratic WeylOps.
+
+    rhs is a list of (rational coefficient, WeylOp) pairs; an empty list
+    asks whether x and y commute.
+    """
+    one = {(0,) * x.shape.nvars: gauss_ref(1)}
+    mx, my = ad_matrix(x), ad_matrix(y)
+    ad_lhs = _combination([(1, _matrix_product(mx, my)), (-1, _matrix_product(my, mx))])
+    ad_rhs = _combination([(c, ad_matrix(g)) for c, g in rhs])
+    vac_lhs = _combination([
+        (1, _vacuum_apply(x, _vacuum_apply(y, one))),
+        (-1, _vacuum_apply(y, _vacuum_apply(x, one))),
+    ])
+    vac_rhs = _combination([(c, _vacuum_apply(g, one)) for c, g in rhs])
+    return ad_lhs == ad_rhs and vac_lhs == vac_rhs

@@ -123,7 +123,8 @@ def test_criterion_6_operator_identities():
         assert holds, (n, k)
         total += checked
     assert verify_sp2n(4, 8) == (1536, True)
-    total += 1536
+    assert verify_sp2n(5, 10) == (3750, True)
+    total += 1536 + 3750
     for k in (3, 5):
         _, _, lower = sl2_generators(k)
         p0 = radial_square(k)

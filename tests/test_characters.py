@@ -1,3 +1,4 @@
+import signal
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from isotypic.errors import (
     OddRankForSp,
     RankConstraint,
     RankTooLarge,
+    ReconstructionFailed,
     SignatureTooLong,
 )
 from isotypic.signatures import GroupFamily, iter_partitions
@@ -166,6 +168,28 @@ def test_greedy_decompose_rejects_non_characters():
     chi = schur_laurent_on_so_torus((2,), 3) - 2 * so_character((), 3)
     with pytest.raises(NegativeMultiplicity):
         greedy_decompose(chi, GroupFamily("so", 3))
+
+
+def test_greedy_decompose_raises_when_a_peel_keeps_its_leading_weight():
+    """A memoised character that lost its top term is an error, not a hang."""
+    chi = schur_laurent_on_so_torus((2, 1), 7)
+    assert greedy_decompose(chi, GroupFamily("so", 7)).terms == {(2, 1): 1, (1,): 1}
+
+    def hang(signum, frame):
+        raise TimeoutError("greedy_decompose kept peeling")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        poisoned = so_character((1,), 7)
+        del poisoned.terms[max(poisoned.terms)]
+        with pytest.raises(ReconstructionFailed):
+            greedy_decompose(chi, GroupFamily("so", 7))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        so_character.cache_clear()
+    assert greedy_decompose(chi, GroupFamily("so", 7)).terms == {(2, 1): 1, (1,): 1}
 
 
 def test_schur_product_examples():

@@ -40,6 +40,7 @@ from isotypic.fock import (
     _matrix_inverse,
 )
 from oracles import (
+    ad_matrix,
     gauss_add,
     gauss_conj,
     gauss_div,
@@ -48,6 +49,7 @@ from oracles import (
     gauss_ref,
     gauss_str,
     gauss_sub,
+    quadratic_relation_holds,
 )
 
 
@@ -536,3 +538,145 @@ def test_poly_text_round_trip():
     assert parse_poly("Z[1][1] + 2*i*Z[1][2] - 1") == parse_poly(
         "-1 + Z[1][1] + 2*i*Z[1][2]"
     )
+
+
+COEFFS = st.builds(
+    GaussRat,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([0, 0, 1, -2, Fraction(1, 2)]),
+)
+
+
+@st.composite
+def weyl_pairs(draw):
+    """Two operators on one shape, with or without W rows, exponents <= 3."""
+    shape = FockShape(draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 1)))
+    exps = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=shape.nvars, max_size=shape.nvars)
+    ops = st.dictionaries(st.tuples(exps.map(tuple), exps.map(tuple)), COEFFS, max_size=3)
+    return WeylOp(shape, draw(ops)), WeylOp(shape, draw(ops))
+
+
+def test_commutator_keeps_contractions_on_several_indices():
+    shape = FockShape(1, 2, 1)
+    a = WeylOp(shape, {((3, 1, 0), (2, 3, 1)): GaussRat(Fraction(1, 2), 1)})
+    b = WeylOp(shape, {((2, 3, 2), (1, 0, 3)): GaussRat(-3), ((0, 0, 1), (0, 0, 0)): GaussRat(2)})
+    # a's derivatives meet b's first term on all three indices, with j up to 3.
+    bracket = weyl_commutator(a, b)
+    assert bracket == (a @ b) - (b @ a) == -weyl_commutator(b, a)
+    assert len(bracket.terms) > 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_pairs())
+def test_commutator_matches_both_compositions(pair):
+    """The contracted-only commutator against the two full products."""
+    a, b = pair
+    bracket = weyl_commutator(a, b)
+    assert bracket == (a @ b) - (b @ a)
+    assert bracket == -weyl_commutator(b, a)
+    assert weyl_commutator(a, a).is_zero()
+
+
+def test_commutator_shape_guard():
+    with pytest.raises(ShapeMismatch):
+        weyl_commutator(WeylOp.zero(FockShape(1, 2)), WeylOp.zero(FockShape(1, 2, 1)))
+    with pytest.raises(ShapeMismatch):
+        weyl_commutator(sl2_generators(2)[0], sl2_generators(3)[1])
+
+
+def sl2_relations(k):
+    e_op, xp, xm = sl2_generators(k)
+    return [(e_op, xp, [(2, xp)]), (e_op, xm, [(-2, xm)]), (xm, xp, [(1, e_op)])]
+
+
+def sp2n_relations(n, k):
+    """Every index instance of the six families of verify_sp2n, in its order."""
+    fam = sp2n_generators(n, k)
+    e, p, d = fam["E"], fam["P"], fam["D"]
+
+    def deltas(table, *pieces):
+        """(coeff, table[idx]) for each (coeff, i, j, idx) piece with i == j."""
+        return [(coeff, table[idx]) for coeff, i, j, idx in pieces if i == j]
+
+    out = []
+    for a, b, c, f in product(range(1, n + 1), repeat=4):
+        out += [
+            (e[(a, b)], e[(c, f)], deltas(e, (1, b, c, (a, f)), (-1, a, f, (c, b)))),
+            (e[(a, b)], p[(c, f)], deltas(p, (1, b, c, (a, f)), (1, b, f, (a, c)))),
+            (e[(a, b)], d[(c, f)], deltas(d, (-1, a, c, (b, f)), (-1, a, f, (b, c)))),
+            (p[(a, b)], d[(c, f)], deltas(
+                e, (1, a, c, (b, f)), (1, a, f, (b, c)), (1, b, c, (a, f)), (1, b, f, (a, c))
+            )),
+            (p[(a, b)], p[(c, f)], []),
+            (d[(a, b)], d[(c, f)], []),
+        ]
+    return out
+
+
+def supq_relations(p, q, k):
+    fam = supq_laplacians(p, q, k)
+    out = []
+    for first, second in product(fam["p"], repeat=2):
+        out += [(fam["p"][first], fam["p"][second], []), (fam["delta"][first], fam["delta"][second], [])]
+    return out
+
+
+# The rank range the fock_identities benchmark draws its verifier queries from.
+WORKLOAD_RANKS = {
+    "sl2": [(k,) for k in range(2, 7)],
+    "sp2n": [(1, k) for k in range(1, 6)] + [(2, k) for k in (2, 3)],
+    "supq": [(p, q, k) for p in (1, 2) for q in (1, 2) for k in range(2, 5 if p * q < 4 else 4)],
+}
+
+
+def test_ad_matrix_oracle_rechecks_every_verifier_relation():
+    verifiers = {"sl2": verify_sl2, "sp2n": verify_sp2n, "supq": verify_supq}
+    tables = {"sl2": sl2_relations, "sp2n": sp2n_relations, "supq": supq_relations}
+    for name, ranks in WORKLOAD_RANKS.items():
+        for args in ranks:
+            relations = tables[name](*args)
+            for x, y, rhs in relations:
+                assert quadratic_relation_holds(x, y, rhs), (name, args)
+            assert verifiers[name](*args) == (len(relations), True), (name, args)
+
+
+def test_ad_matrix_oracle_agrees_with_the_commutator_kernel():
+    for ops in (
+        list(sl2_generators(4)),
+        [op for f in "EPD" for op in sp2n_generators(2, 3)[f].values()],
+        [op for f in ("p", "delta") for op in supq_laplacians(2, 2, 3)[f].values()],
+    ):
+        for x, y in product(ops, repeat=2):
+            assert quadratic_relation_holds(x, y, [(1, weyl_commutator(x, y))])
+
+
+def test_ad_matrix_oracle_rejects_mutant_relations():
+    fam = sp2n_generators(1, 3)
+    e, p, d = fam["E"][(1, 1)], fam["P"][(1, 1)], fam["D"][(1, 1)]
+    identity = WeylOp.identity(FockShape(1, 3))
+    assert quadratic_relation_holds(p, d, [(4, e)])
+    # ad cannot see a constant; the vacuum check does.
+    assert ad_matrix(identity) == {}
+    assert not quadratic_relation_holds(p, d, [(4, e), (1, identity)])
+    assert quadratic_relation_holds(e, p, [(2, p)])
+    assert not quadratic_relation_holds(e, p, [(3, p)])
+    with pytest.raises(ValueError):
+        quadratic_relation_holds(p @ p, d, [])
+
+
+def test_check_covariance_never_renders_a_polynomial(monkeypatch):
+    """A GaussRat times a FockPoly defers to FockPoly without printing it."""
+    import isotypic.fock as fock
+
+    calls = []
+    real = fock.render_poly
+    monkeypatch.setattr(fock, "render_poly", lambda f: calls.append(f) or real(f))
+    vec = hwv("gl", (2, 1), 2, 3)
+    assert check_covariance(vec, "left_lower", (2, 1), seed=3)
+    assert check_covariance(vec, "right_upper", (2, 1), seed=3)
+    assert GaussRat(2) * vec == 2 * vec and vec * GaussRat(2) == 2 * vec
+    assert (GaussRat(1) == vec) is False
+    assert calls == []
+    with pytest.raises(TypeError):
+        GaussRat(vec)
+    assert calls
