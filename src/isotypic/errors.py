@@ -55,7 +55,7 @@ class OutsideStableRange(IsotypicError):
 
 
 class ShapeMismatch(IsotypicError):
-    """Fock polynomials over different variable matrices were combined."""
+    """Polynomials over different variable sets were combined."""
 
 
 class DimensionMismatch(IsotypicError):

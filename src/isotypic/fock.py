@@ -10,8 +10,11 @@ vectors of the classical dual pairs.
 Coefficients are Gaussian rationals with int parts, promoted to Fraction
 only where a division or a non-integral input needs one: exact
 arithmetic throughout, so operator identities are decided, not sampled.
-Terms are keyed by dense exponent tuples; the kernel loops visit only
-the nonzero exponents of each term.  Commutators keep only contracted
+Polynomials and operators are term maps on the shared core of
+``isotypic.terms``, which also holds the Leibniz determinant, so this
+module imports neither the character oracle nor the LR engine.  Terms
+are keyed by dense exponent tuples; the kernel loops visit only the
+nonzero exponents of each term.  Commutators keep only contracted
 terms, since the uncontracted ones of ab and ba cancel; on them rest the
 relation checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.
 """
@@ -31,7 +34,6 @@ from itertools import (
 from math import comb, factorial, perm
 from operator import add
 
-from .characters import leibniz_det
 from .errors import (
     BadSignature,
     DimensionMismatch,
@@ -41,6 +43,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .signatures import canonicalize
+from .terms import DensePoly, TermMap, add_into, leibniz_det
 
 
 def _rational(x):
@@ -250,98 +253,14 @@ def _items(e):
     return [(i, e[i]) for i in _compress(_count(), e)]
 
 
-def _add_into(out: dict, key, coeff):
-    """Add a nonzero coefficient into a term map, dropping a term that cancels."""
-    prev = out.get(key)
-    if prev is None:
-        out[key] = coeff
-        return
-    total = prev + coeff
-    if total:
-        out[key] = total
-    else:
-        del out[key]
-
-
-class _TermMap:
-    """A shape plus a map from exponent keys to nonzero GaussRat coefficients.
-
-    The shared core of FockPoly and WeylOp.  Kernel results are built
-    with the trusted constructor ``_new``; the public constructor coerces
-    every coefficient and drops zeros.
-    """
-
-    __slots__ = ("shape", "terms")
-
-    def __init__(self, shape: FockShape, terms=None):
-        self.shape = shape
-        clean = {}
-        if terms:
-            for key, coeff in terms.items() if hasattr(terms, "items") else terms:
-                coeff = GaussRat.coerce(coeff)
-                if coeff:
-                    clean[self._key(key)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def _new(cls, shape: FockShape, terms: dict):
-        """Trusted constructor: keys already tuples, values nonzero GaussRats."""
-        out = _alloc(cls)
-        out.shape = shape
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, shape):
-        return cls._new(shape, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _require_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        self._require_same_shape(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_into(out, key, c)
-        return self._new(self.shape, out)
-
-    def __neg__(self):
-        return self._new(self.shape, {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        self._require_same_shape(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_into(out, key, -c)
-        return self._new(self.shape, out)
-
-    def __mul__(self, scalar):
-        scalar = GaussRat.coerce(scalar)
-        if not scalar:
-            return self._new(self.shape, {})
-        return self._new(self.shape, {key: c * scalar for key, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
-
-
-class FockPoly(_TermMap):
+class FockPoly(DensePoly):
     """Sparse polynomial in matrix variables over Gaussian rationals.
 
     Terms are keyed by dense exponent tuples, one entry per variable.
     """
 
     __slots__ = ()
-    _key = staticmethod(tuple)
+    _coeff = staticmethod(GaussRat.coerce)
 
     @classmethod
     def constant(cls, shape, c):
@@ -350,16 +269,6 @@ class FockPoly(_TermMap):
     @classmethod
     def variable(cls, shape, idx):
         return cls._new(shape, {_unit(shape.nvars, idx): GaussRat(1)})
-
-    def __mul__(self, other):
-        if not isinstance(other, FockPoly):
-            return super().__mul__(other)
-        self._require_same_shape(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_into(out, tuple(map(add, e1, e2)), c1 * c2)
-        return FockPoly._new(self.shape, out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -412,10 +321,10 @@ class FockPoly(_TermMap):
                     cache.append(cache[-1] * cache[1])
                 image = cache[exp] if image is None else image * cache[exp]
             if image is None:
-                _add_into(out, e, c)
+                add_into(out, e, c)
                 continue
             for ie, ic in image.terms.items():
-                _add_into(out, tuple(map(add, ie, fixed)), ic * c)
+                add_into(out, tuple(map(add, ie, fixed)), ic * c)
         return FockPoly._new(self.shape, out)
 
     def __repr__(self):
@@ -432,8 +341,7 @@ def w_var(shape: FockShape, b: int, i: int) -> FockPoly:
 
 def pairing(f: FockPoly, g: FockPoly) -> GaussRat:
     """The Fock inner product: sum over monomials of (r)! f_r conj(g_r)."""
-    if f.shape != g.shape:
-        raise ShapeMismatch(f"{f.shape} vs {g.shape}")
+    f._require_same_shape(g)
     total = GaussRat(0)
     for e, c in f.terms.items():
         d = g.terms.get(e)
@@ -445,7 +353,7 @@ def pairing(f: FockPoly, g: FockPoly) -> GaussRat:
     return total
 
 
-class WeylOp(_TermMap):
+class WeylOp(TermMap):
     """Normal-ordered differential operator with polynomial coefficients.
 
     Terms map (multiplication exponents, derivative exponents) pairs to
@@ -454,6 +362,7 @@ class WeylOp(_TermMap):
     """
 
     __slots__ = ()
+    _coeff = staticmethod(GaussRat.coerce)
 
     @staticmethod
     def _key(key):
@@ -481,8 +390,7 @@ class WeylOp(_TermMap):
         return WeylOp._new(self.shape, _compose_into({}, self, other, False, 1))
 
     def apply(self, f: FockPoly) -> FockPoly:
-        if self.shape != f.shape:
-            raise ShapeMismatch(f"{self.shape} vs {f.shape}")
+        self._require_same_shape(f)
         out: dict = {}
         for (z, d), c in self.terms.items():
             raise_z = _items(z)
@@ -498,7 +406,7 @@ class WeylOp(_TermMap):
                 else:
                     for i, x in raise_z:
                         new[i] += x
-                    _add_into(out, tuple(new), c * a * fall)
+                    add_into(out, tuple(new), c * a * fall)
         return FockPoly._new(self.shape, out)
 
     def __repr__(self):
@@ -553,7 +461,7 @@ def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool,
                         coeff = coeff * (comb(x, j) * comb(y, j) * factorial(j))
                         zj[i] -= j
                         dj[i] -= j
-                _add_into(out, (tuple(zj), tuple(dj)), coeff)
+                add_into(out, (tuple(zj), tuple(dj)), coeff)
     return out
 
 
@@ -677,7 +585,7 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
         for coeff, idx in pieces:
             if coeff:
                 for key, c in table[idx].terms.items():
-                    _add_into(out, key, c * coeff)
+                    add_into(out, key, c * coeff)
         return WeylOp._new(shape, out)
 
     rng = range(1, n + 1)
@@ -1046,7 +954,7 @@ def conjugate_weyl_by_right_translation(op: WeylOp, g) -> WeylOp:
         dpoly = FockPoly._new(shape, {d: one}).substitute(dimages)
         for e1, c1 in zpoly.terms.items():
             for e2, c2 in dpoly.terms.items():
-                _add_into(out, (e1, e2), c * c1 * c2)
+                add_into(out, (e1, e2), c * c1 * c2)
     return WeylOp._new(shape, out)
 
 
@@ -1133,7 +1041,7 @@ def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
                     max_w = max(max_w, row)
     if shape is None:
         shape = FockShape(max(max_z, 1), max(max_col, 1), max_w)
-    result = FockPoly.zero(shape)
+    terms: dict = {}
     for sign, factors in raw_terms:
         coeff = sign
         exps = [0] * shape.nvars
@@ -1148,5 +1056,6 @@ def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
                 coeff = coeff * parse_gauss(tok[1:-1])
             else:
                 coeff = coeff * parse_gauss(tok)
-        result = result + FockPoly(shape, {tuple(exps): coeff})
-    return result
+        if coeff:
+            add_into(terms, tuple(exps), coeff)
+    return FockPoly._new(shape, terms)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .branching import restrict_gl_to_so, restrict_gl_to_sp
-from .lr import Decomposition, contragredient, tensor_mixed, tensor_multi
+from .lr import Decomposition, _mixed_table, contragredient, tensor_multi
 from .signatures import GroupFamily, Signature, canonicalize, pad
 
 
@@ -72,6 +72,6 @@ def identity_multiplicity(factors, mu: Signature) -> int:
     k = max(1, len(mu), *map(len, factors))
     dual = contragredient(pad(mu, k))
     return sum(
-        mult * tensor_mixed(pad(sig, k), dual, k)[(0,) * k]
+        mult * _mixed_table(pad(sig, k), dual, k).get((0,) * k, 0)
         for sig, mult in tensor_multi(factors, k)
     )

@@ -18,6 +18,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_fock_imports_neither_the_character_oracle_nor_lr():
+    """The Fock laboratory stands on the shared term-map core alone."""
+    tree = ast.parse(Path(fock.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert {"characters", "lr"}.isdisjoint(names)
+
+
 def test_traced_benchmark_targets_still_resolve():
     """Every function the layer tracer rebinds must exist where it looks."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
