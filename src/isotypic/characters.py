@@ -52,16 +52,6 @@ class LaurentPoly(DensePoly):
     def monomial(cls, nvars, exps, coeff=1):
         return cls(nvars, {tuple(exps): coeff})
 
-    def eval_at_ones(self) -> int:
-        return sum(self.terms.values())
-
-    def invert_variable(self, i) -> "LaurentPoly":
-        """Substitute x_i -> 1/x_i."""
-        return self._new(
-            self.shape,
-            {e[:i] + (-e[i],) + e[i + 1:]: c for e, c in self.terms.items()},
-        )
-
     def __repr__(self):
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in sorted(self.terms.items(), reverse=True))
         return f"<LaurentPoly {body or '0'}>"

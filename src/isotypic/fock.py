@@ -14,9 +14,14 @@ Polynomials and operators are term maps on the shared core of
 ``isotypic.terms``, which also holds the Leibniz determinant, so this
 module imports neither the character oracle nor the LR engine.  Terms
 are keyed by dense exponent tuples; the kernel loops visit only the
-nonzero exponents of each term.  Commutators keep only contracted
-terms, since the uncontracted ones of ab and ba cancel; on them rest the
-relation checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.
+nonzero exponents of each term.  Each operator indexes its terms once,
+on first use, and keeps that view: a composition reads it instead of
+re-deriving the nonzero exponents per call.  Commutators keep only
+contracted terms, since the uncontracted ones of ab and ba cancel, and
+so visit only the term pairs that contract; on them rest the relation
+checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  Borel
+covariance trials run on doubled integer matrices, which decide the
+same equality as the rational ones (see ``check_covariance``).
 """
 
 from __future__ import annotations
@@ -361,7 +366,7 @@ class WeylOp(TermMap):
     derivative; equality of term maps is operator equality.
     """
 
-    __slots__ = ()
+    __slots__ = ("_view",)
     _coeff = staticmethod(GaussRat.coerce)
 
     @staticmethod
@@ -392,9 +397,7 @@ class WeylOp(TermMap):
     def apply(self, f: FockPoly) -> FockPoly:
         self._require_same_shape(f)
         out: dict = {}
-        for (z, d), c in self.terms.items():
-            raise_z = _items(z)
-            lower = _items(d)
+        for _, _, raise_z, lower, c in _weyl_view(self)[0]:
             for e, a in f.terms.items():
                 fall = 1
                 new = list(e)
@@ -428,40 +431,58 @@ def weyl_apply(op: WeylOp, f: FockPoly) -> FockPoly:
     return op.apply(f)
 
 
+def _weyl_view(op: WeylOp):
+    """op's terms as (z, d, z_items, d_items, coeff) rows, plus the rows
+    bucketed by each index where z is nonzero; built on first use and kept,
+    which is sound because a WeylOp is never mutated."""
+    try:
+        return op._view
+    except AttributeError:
+        pass
+    rows = [(z, d, _items(z), _items(d), c) for (z, d), c in op.terms.items()]
+    buckets: dict = {}
+    for row in rows:
+        for i, _ in row[2]:
+            buckets.setdefault(i, []).append(row)
+    op._view = rows, buckets
+    return op._view
+
+
 def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool, sign: int):
     """Add sign * (left @ right) into out and return it; see WeylOp.__matmul__.
 
     contracted_only drops the j = 0 term of every term pair: a pair whose
-    left derivatives meet no right multiplication has no other term.
+    left derivatives meet no right multiplication has no other term, so
+    a left term visits only the right terms bucketed under its derivative
+    indices, each once even when it sits in several of those buckets.
     """
-    terms_b = [(zb, db, dict(_items(zb)), cb) for (zb, db), cb in right.terms.items()]
-    for (za, da), ca in left.terms.items():
-        lower = dict(_items(da))
-        ca = ca * sign
-        for zb, db, raise_b, cb in terms_b:
-            if contracted_only and lower.keys().isdisjoint(raise_b):
-                continue
+    rows_b, buckets = _weyl_view(right)
+    partners = rows_b
+    for za, _, _, lower, ca in _weyl_view(left)[0]:
+        if contracted_only:
+            partners = {id(r): r for i, _ in lower for r in buckets.get(i, ())}.values()
+        for zb, db, raise_b, _, cb in partners:
             znew = list(za)
-            for i, x in raise_b.items():
+            for i, x in raise_b:
                 znew[i] += x
             dnew = list(db)
-            for i, x in lower.items():
+            for i, x in lower:
                 dnew[i] += x
             base = ca * cb
-            overlap = [(i, x, zb[i]) for i, x in lower.items() if zb[i]]
+            overlap = [(i, x, zb[i]) for i, x in lower if zb[i]]
             ranges = [range(min(x, y) + 1) for _, x, y in overlap]
             # product() yields the all-zero js first (the only js when
             # nothing overlaps); islice drops it when asked.
             for js in _islice(_iterproduct(*ranges), contracted_only, None):
-                coeff = base
+                scale = sign
                 zj = znew[:]
                 dj = dnew[:]
                 for (i, x, y), j in zip(overlap, js):
                     if j:
-                        coeff = coeff * (comb(x, j) * comb(y, j) * factorial(j))
+                        scale *= comb(x, j) * comb(y, j) * factorial(j)
                         zj[i] -= j
                         dj[i] -= j
-                add_into(out, (tuple(zj), tuple(dj)), coeff)
+                add_into(out, (tuple(zj), tuple(dj)), base if scale == 1 else base * scale)
     return out
 
 
@@ -810,16 +831,10 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
     raise BadSignature(f"unknown highest weight vector kind {kind!r}")
 
 
-DIAG_ENTRIES = (Fraction(1), Fraction(2), Fraction(1, 2))
-OFF_DIAG_ENTRIES = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
+# Twice the Borel entries (1, 2, 1/2) and (0, 1, -1, 2, -2, 1/2, -1/2),
+# in the same order, so a seed draws the same matrices scaled by 2.
+DIAG_ENTRIES = (2, 4, 1)
+OFF_DIAG_ENTRIES = (0, 2, -2, 4, -4, 1, -1)
 
 
 def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: int = 0) -> bool:
@@ -829,6 +844,15 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     the row index; side "right_upper" by upper-triangular matrices on the
     column index.  Exact equality with the character factor must hold on
     every trial; a False return is a result, not an error.
+
+    Each trial draws B with entries in {0, +-1/2, +-1, +-2} (diagonal
+    {1/2, 1, 2}) but substitutes the integer matrix 2B, so the arithmetic
+    stays in integers.  A linear substitution keeps each term's degree,
+    so f(B Z) = F f, with F the product of the diagonal entries of B to
+    the exponents, holds exactly when f(2B Z) has coefficient
+    c * F * 2^|e| at each term c * z^e of f, |e| counting only the
+    substituted variables (W is fixed on the left); both sides are
+    compared times 2^|exponents|, which makes F an integer.
     """
     if f.is_zero():
         raise ValueError("covariance of the zero polynomial is vacuous")
@@ -840,9 +864,13 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     if len(exponents) > size:
         raise BadSignature(f"{len(exponents)} exponents for {size} diagonal entries")
     exponents = exponents + (0,) * (size - len(exponents))
+    # Left substitutions fix W, so only the degree in Z scales.
+    moved = shape.rows * shape.cols if side == "left_lower" else shape.nvars
+    used = {i for e in f.terms for i, _ in _items(e)}
+    terms = [(e, c, sum(e[:moved])) for e, c in f.terms.items()]
     rng = random.Random(seed)
     for _ in range(trials):
-        b = [[Fraction(0)] * size for _ in range(size)]
+        b = [[0] * size for _ in range(size)]
         for i in range(size):
             b[i][i] = rng.choice(DIAG_ENTRIES)
             for j in range(i):
@@ -850,12 +878,17 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
                     b[i][j] = rng.choice(OFF_DIAG_ENTRIES)
                 else:
                     b[j][i] = rng.choice(OFF_DIAG_ENTRIES)
-        images = _linear_images(shape, b, "left" if side == "left_lower" else "right")
-        factor = GaussRat(1)
+        factor = 1
         for i in range(size):
-            factor = factor * GaussRat(b[i][i]) ** _nonneg(exponents[i])
-        if f.substitute(images) != factor * f:
+            factor *= b[i][i] ** _nonneg(exponents[i])
+        scale = 1 << sum(exponents)
+        images = _linear_images(shape, b, "left" if side == "left_lower" else "right", used)
+        image = f.substitute(images).terms
+        if image.keys() != f.terms.keys():
             return False
+        for e, c, degree in terms:
+            if image[e] * scale != c * (factor << degree):
+                return False
     return True
 
 
@@ -885,28 +918,26 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _linear_images(shape: FockShape, matrix, side: str) -> dict:
+def _linear_images(shape: FockShape, matrix, side: str, variables=None) -> dict:
     """Variable images of the substitution Z -> M Z or Z -> Z M.
 
     side "left" maps Z to M Z (rows mix, W is fixed); side "right" maps
     Z to Z M and W to W M (columns mix).  M is a square matrix of exact
-    scalars of the matching size.
+    scalars of the matching size.  Images are built for the given
+    variable indices only, or for every variable when none are given.
     """
     m = [[GaussRat.coerce(x) for x in row] for row in matrix]
     cols, nv = shape.cols, shape.nvars
     images = {}
-    if side == "left":
-        for a in range(shape.rows):
-            for i in range(cols):
-                images[a * cols + i] = FockPoly._new(shape, {
-                    _unit(nv, t * cols + i): c for t, c in enumerate(m[a]) if c
-                })
-    else:
-        for row in range(shape.rows + shape.wrows):
-            for i in range(cols):
-                images[row * cols + i] = FockPoly._new(shape, {
-                    _unit(nv, row * cols + t): m[t][i] for t in range(cols) if m[t][i]
-                })
+    for idx in range(nv) if variables is None else variables:
+        row, i = divmod(idx, cols)
+        if side == "right":
+            terms = {_unit(nv, row * cols + t): m[t][i] for t in range(cols) if m[t][i]}
+        elif row < shape.rows:
+            terms = {_unit(nv, t * cols + i): c for t, c in enumerate(m[row]) if c}
+        else:
+            continue
+        images[idx] = FockPoly._new(shape, terms)
     return images
 
 

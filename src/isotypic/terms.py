@@ -81,13 +81,16 @@ class TermMap:
         return self + (-other)
 
     def __mul__(self, scalar):
+        # Another term map is no scalar: NotImplemented lets Python raise its
+        # plain operand TypeError, where _coeff would render the operand.
+        if isinstance(scalar, TermMap):
+            return NotImplemented
         scalar = self._coeff(scalar)
         if not scalar:
             return self._new(self.shape, {})
         return self._new(self.shape, {key: c * scalar for key, c in self.terms.items()})
 
-    def __rmul__(self, scalar):
-        return self * scalar
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -2,12 +2,15 @@
 
 Nothing here shares code with the package: LR coefficients come from
 enumerating every raw filling of the skew diagram, dimensions from a
-standalone tableau counter and quadratic operator identities from
-ad-matrices read off the term maps, so agreement is meaningful.
+standalone tableau counter, quadratic operator identities from
+ad-matrices read off the term maps and Borel covariance from rational
+substitution on plain dicts, so agreement is meaningful.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 
 def skew_cells(nu, lam):
@@ -84,6 +87,11 @@ def count_ssyt(shape, k):
 
     fill(0)
     return total
+
+
+def invert_exponent(terms, i):
+    """A Laurent term map under x_i -> 1/x_i: exponent i negated."""
+    return {e[:i] + (-e[i],) + e[i + 1:]: c for e, c in terms.items()}
 
 
 # Gaussian rationals as plain (Fraction, Fraction) pairs: the reference
@@ -268,3 +276,74 @@ def quadratic_relation_holds(x, y, rhs):
     ])
     vac_rhs = _combination([(c, _vacuum_apply(g, one)) for c, g in rhs])
     return ad_lhs == ad_rhs and vac_lhs == vac_rhs
+
+
+# Borel covariance by rational trials: f(B Z) = F f, F the product of the
+# diagonal entries of B to the exponents, on random triangular B drawn in
+# the order check_covariance draws them.  Only the shape and term map of
+# f are read, the coefficients as (real, imaginary) pairs.
+
+BOREL_DIAG = (1, 2, Fraction(1, 2))
+BOREL_OFF_DIAG = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+
+
+def _real_product(f, g):
+    """Product of two polynomials with rational coefficients, as dicts."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def covariance_by_fraction_trials(f, side, exponents, trials=8, seed=0):
+    """Decide Borel covariance of f on `trials` random rational matrices.
+
+    side "left_lower" substitutes Z -> B Z with B lower triangular (W
+    fixed); side "right_upper" substitutes Z -> Z B and W -> W B with B
+    upper triangular.  B is real, so each monomial is expanded over the
+    rationals and its image added to the real and imaginary parts.
+    """
+    rows, cols, nv = f.shape.rows, f.shape.cols, f.shape.nvars
+    size = rows if side == "left_lower" else cols
+    exponents = tuple(exponents) + (0,) * (size - len(exponents))
+    terms = {e: (c.re, c.im) for e, c in f.terms.items()}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        b = [[0] * size for _ in range(size)]
+        for i in range(size):
+            b[i][i] = rng.choice(BOREL_DIAG)
+            for j in range(i):
+                if side == "left_lower":
+                    b[i][j] = rng.choice(BOREL_OFF_DIAG)
+                else:
+                    b[j][i] = rng.choice(BOREL_OFF_DIAG)
+        powers = []
+        for idx in range(nv):
+            row, i = divmod(idx, cols)
+            if side == "right_upper":
+                pairs = [(row * cols + t, b[t][i]) for t in range(cols)]
+            elif row < rows:
+                pairs = [(t * cols + i, b[row][t]) for t in range(rows)]
+            else:
+                pairs = [(idx, 1)]
+            image = {tuple(int(v == var) for v in range(nv)): x for var, x in pairs if x}
+            powers.append([{(0,) * nv: 1}, image])
+        re, im = {}, {}
+        for e, (c_re, c_im) in terms.items():
+            expanded = {(0,) * nv: 1}
+            for idx, x in enumerate(e):
+                while len(powers[idx]) <= x:
+                    powers[idx].append(_real_product(powers[idx][-1], powers[idx][1]))
+                expanded = _real_product(expanded, powers[idx][x])
+            for key, r in expanded.items():
+                re[key] = re.get(key, 0) + c_re * r
+                im[key] = im.get(key, 0) + c_im * r
+        factor = 1
+        for i, x in enumerate(exponents):
+            factor *= b[i][i] ** x
+        substituted = {key: (re[key], im[key]) for key in re if re[key] or im[key]}
+        if substituted != {e: (factor * c_re, factor * c_im) for e, (c_re, c_im) in terms.items()}:
+            return False
+    return True

@@ -24,7 +24,7 @@ from isotypic.errors import (
 )
 from isotypic.signatures import GroupFamily, iter_partitions
 
-from oracles import count_ssyt
+from oracles import count_ssyt, invert_exponent
 
 
 def harmonic_dim(k, r):
@@ -42,8 +42,8 @@ def test_laurent_arithmetic():
         + LaurentPoly.monomial(1, (-2,))
     )
     assert (x - x).is_zero()
-    assert (3 * x).eval_at_ones() == 3
-    assert x.invert_variable(0) == xinv
+    assert sum((3 * x).terms.values()) == 3
+    assert invert_exponent(x.terms, 0) == xinv.terms
 
 
 def test_laurent_exact_division():
@@ -79,7 +79,7 @@ def test_dim_gl_matches_tableau_count():
     for lam in [(2,), (2, 1), (3, 1), (2, 2, 1), (4,)]:
         for k in range(len(lam), 5):
             assert dim(GroupFamily("u", k), lam) == count_ssyt(lam, k)
-            assert schur_poly(lam, k).eval_at_ones() == count_ssyt(lam, k)
+            assert sum(schur_poly(lam, k).terms.values()) == count_ssyt(lam, k)
 
 
 def test_dim_guards():
@@ -94,7 +94,7 @@ def test_dim_guards():
 def test_schur_poly_small():
     s = schur_poly((1,), 2)
     assert s.terms == {(1, 0): 1, (0, 1): 1}
-    assert schur_poly((2, 1), 2).eval_at_ones() == 2
+    assert sum(schur_poly((2, 1), 2).terms.values()) == 2
     assert schur_poly((1, 1, 1), 2).is_zero()
 
 
@@ -129,7 +129,7 @@ def test_so_character_dims_at_ones():
         max_len = (k - 1) // 2
         for w in range(6):
             for mu in iter_partitions(w, max_length=max_len):
-                assert so_character(mu, k).eval_at_ones() == dim(
+                assert sum(so_character(mu, k).terms.values()) == dim(
                     GroupFamily("so", k), mu
                 ), (mu, k)
 
@@ -137,12 +137,12 @@ def test_so_character_dims_at_ones():
 def test_so_character_weyl_invariance():
     # Odd rank: single sign changes belong to the Weyl group.
     chi = so_character((2, 1), 5)
-    assert chi.invert_variable(0) == chi
-    assert chi.invert_variable(1) == chi
+    assert invert_exponent(chi.terms, 0) == chi.terms
+    assert invert_exponent(chi.terms, 1) == chi.terms
     # Even rank: pairs of sign changes do.
     chi = so_character((2, 1), 6)
-    assert chi.invert_variable(0).invert_variable(1) == chi
-    assert chi.invert_variable(0).invert_variable(2) == chi
+    assert invert_exponent(invert_exponent(chi.terms, 0), 1) == chi.terms
+    assert invert_exponent(invert_exponent(chi.terms, 0), 2) == chi.terms
 
 
 def test_greedy_decompose_examples():
@@ -227,7 +227,7 @@ def test_greedy_decompose_only_reads_its_input_and_the_memos():
         assert all(irreducible(mu, group.rank).terms == t for mu, t in memo.items())
     chi = schur_poly((2, 1), 3)
     assert greedy_decompose(chi, GroupFamily("u", 3)).terms == {(2, 1): 1}
-    assert chi is schur_poly((2, 1), 3) and chi.eval_at_ones() == 8
+    assert chi is schur_poly((2, 1), 3) and sum(chi.terms.values()) == 8
 
 
 def test_dim_reports_a_non_integral_product_as_a_reduced_fraction(monkeypatch):

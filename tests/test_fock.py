@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,9 @@ from isotypic.fock import (
     _matrix_inverse,
 )
 from oracles import (
+    ZERO,
     ad_matrix,
+    covariance_by_fraction_trials,
     gauss_add,
     gauss_conj,
     gauss_div,
@@ -662,6 +665,125 @@ def test_ad_matrix_oracle_rejects_mutant_relations():
     assert not quadratic_relation_holds(e, p, [(3, p)])
     with pytest.raises(ValueError):
         quadratic_relation_holds(p @ p, d, [])
+
+
+def _ref_compose(a, b):
+    """a @ b over every term pair, in plain dicts: per index,
+    d^p z^q = sum_j C(p, j) C(q, j) j! z^(q - j) d^(p - j)."""
+    out = {}
+    for (za, da), ca in a.terms.items():
+        for (zb, db), cb in b.terms.items():
+            base = gauss_mul(gauss_ref(ca.re, ca.im), gauss_ref(cb.re, cb.im))
+            for js in product(*(range(min(p, q) + 1) for p, q in zip(da, zb))):
+                weight = 1
+                for p, q, j in zip(da, zb, js):
+                    weight *= comb(p, j) * comb(q, j) * factorial(j)
+                key = (
+                    tuple(x + y - j for x, y, j in zip(za, zb, js)),
+                    tuple(x + y - j for x, y, j in zip(da, db, js)),
+                )
+                out[key] = gauss_add(out.get(key, ZERO), gauss_mul(gauss_ref(weight), base))
+    return {key: c for key, c in out.items() if c != ZERO}
+
+
+def _ref_terms(op):
+    return {key: gauss_ref(c.re, c.im) for key, c in op.terms.items()}
+
+
+def test_commutator_kernel_on_reused_operators_matches_every_term_pair():
+    """Operators keep their term index across calls: reuse the same objects
+    on both sides, interleaving @ with the commutator."""
+    rng = random.Random(5)
+    shape = FockShape(1, 3)
+
+    def rand_op():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            z = tuple(rng.choice((0, 0, 1, 2)) for _ in range(3))
+            d = tuple(rng.choice((0, 1, 1, 2)) for _ in range(3))
+            terms[(z, d)] = GaussRat(rng.choice((-2, -1, 1, 3)), rng.choice((-1, 0, 1)))
+        return WeylOp(shape, terms)
+
+    # x differentiates in both indices where y multiplies, so y's term sits
+    # in two of the buckets x's term visits.
+    x = WeylOp(shape, {((0, 0, 1), (1, 2, 0)): GaussRat(1), ((1, 0, 0), (0, 1, 1)): GaussRat(2, -1)})
+    y = WeylOp(shape, {((2, 1, 0), (0, 0, 1)): GaussRat(-3), ((0, 1, 1), (1, 0, 0)): GaussRat(1, 1)})
+    pool = [x, y] + [rand_op() for _ in range(6)]
+    for _ in range(3):
+        for a, b in product(pool, repeat=2):
+            ab, ba = _ref_compose(a, b), _ref_compose(b, a)
+            bracket = {key: gauss_sub(ab.get(key, ZERO), ba.get(key, ZERO)) for key in ab.keys() | ba.keys()}
+            assert _ref_terms(weyl_commutator(a, b)) == {k: c for k, c in bracket.items() if c != ZERO}
+            assert _ref_terms(a @ b) == ab
+    assert not weyl_commutator(x, y).is_zero()
+
+
+# The highest weight vectors the fock_identities benchmark draws, with the
+# signature each is tested against: (kind, data, n, k, exponents).
+def _workload_hwvs():
+    small = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    out = []
+    for sig in small:
+        for n in (len(sig), len(sig) + 1):
+            for k in (n, n + 1):
+                out.append(("gl", sig, n, k, sig))
+    for r in range(6):
+        for k in range(2, 7):
+            out.append(("so_rank1", r, 1, k, (r,)))
+    for n in (1, 2):
+        for mu in (sig for sig in small if len(sig) <= n):
+            for k in range(max(3, 2 * len(mu)), 6):
+                out.append(("so_general", mu, n, k, mu))
+    for p, q in product((1, 2), repeat=2):
+        for nu in (sig for sig in small if len(sig) <= p):
+            for lam in (sig for sig in small[:3] if len(sig) <= q):
+                for k in (len(nu) + len(lam), len(nu) + len(lam) + 1):
+                    out.append(("upq", (nu, lam), (p, q), k, nu))
+    return out
+
+
+def test_integer_covariance_trials_agree_with_the_fraction_route():
+    """check_covariance substitutes 2B for B; the oracle substitutes B itself."""
+    results = []
+
+    def both(f, side, exps, seed, trials=8):
+        got = check_covariance(f, side, exps, trials=trials, seed=seed)
+        assert got == covariance_by_fraction_trials(f, side, exps, trials, seed), (
+            render_poly(f), side, exps, seed)
+        results.append(got)
+        return got
+
+    for kind, data, n, k, exps in _workload_hwvs():
+        vec = hwv(kind, data, n, k)
+        for side, seed in product(("left_lower", "right_upper"), range(10)):
+            both(vec, side, exps, seed, trials=2)
+    shape = FockShape(2, 2, 1)
+    z11, z12, z21, w11 = z_var(shape, 1, 1), z_var(shape, 1, 2), z_var(shape, 2, 1), w_var(shape, 1, 1)
+    gl21 = hwv("gl", (2, 1), 2, 3)
+    cases = [
+        # Not homogeneous: W is fixed on the left, so z11 + z11 w11 is covariant there.
+        (z11 + z11 * w11, (1,)),
+        (z11 + z11 * z11, (1,)),
+        (z11 * z12 + 3 * z11 + FockPoly.constant(shape, 2), (2,)),
+        # Gaussian and fractional coefficients.
+        (GaussRat(2, -3) * z11 * w11, (1,)),
+        (I_UNIT * gl21, (2, 1)),
+        (GaussRat(Fraction(1, 3), Fraction(-5, 2)) * gl21 + gl21 * gl21, (2, 1)),
+        (hwv("so_rank1", 3, 1, 4), (3,)),
+        # Constants.
+        (FockPoly.constant(shape, GaussRat(1, 1)), ()),
+        (FockPoly.constant(shape, 5), (1,)),
+    ]
+    for f, exps in cases:
+        for side, seed in product(("left_lower", "right_upper"), range(10)):
+            both(f, side, exps, seed)
+    # Wrong exponent vectors: both routes must reject.
+    for f, exps in [(gl21, (1, 2)), (gl21, (3,)), (gl21, (2, 1, 1)), (z21, (0, 1)), (z11 * w11, (3,))]:
+        for side, seed in product(("left_lower", "right_upper"), range(10)):
+            if side == "left_lower" and len(exps) > f.shape.rows:
+                continue
+            assert both(f, side, exps, seed) is False
+    assert results.count(True) > 500 and results.count(False) > 500
 
 
 def test_check_covariance_never_renders_a_polynomial(monkeypatch):

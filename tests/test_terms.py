@@ -92,3 +92,23 @@ def test_weyl_ops_multiply_by_scalars_only():
     assert (2 * xp).terms == {key: c * 2 for key, c in xp.terms.items()}
     assert (xp * I_UNIT).terms == {key: c * I_UNIT for key, c in xp.terms.items()}
     assert isinstance(2 * xp, WeylOp) and (xp * 0).is_zero()
+
+
+def test_polynomial_operands_are_not_scalars_and_are_never_rendered(monkeypatch):
+    """A term map times another term map is Python's plain operand TypeError."""
+    import isotypic.fock as fock
+
+    calls = []
+    for cls in (FockPoly, WeylOp, LaurentPoly):
+        real = cls.__repr__
+        monkeypatch.setattr(cls, "__repr__", lambda self, real=real: calls.append(self) or real(self))
+    render = fock.render_poly
+    monkeypatch.setattr(fock, "render_poly", lambda f: calls.append(f) or render(f))
+    _, xp, xm = sl2_generators(2)
+    f = FockPoly.constant(FockShape(1, 2), 3)
+    x = LaurentPoly.monomial(1, (1,))
+    for a, b in [(xp, xm), (f, x), (x, f), (xp, f), (f, xp)]:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a * b
+    assert calls == []
+    assert (f * 2).terms == (2 * f).terms == {(0, 0): GaussRat(6)}
