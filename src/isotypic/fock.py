@@ -19,9 +19,12 @@ on first use, and keeps that view: a composition reads it instead of
 re-deriving the nonzero exponents per call.  Commutators keep only
 contracted terms, since the uncontracted ones of ab and ba cancel, and
 so visit only the term pairs that contract; on them rest the relation
-checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  Borel
-covariance trials run on doubled integer matrices, which decide the
-same equality as the rational ones (see ``check_covariance``).
+checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  The
+oscillator generators are built once per rank and shared, so each
+operator's index serves every later query.  Borel covariance trials run
+on doubled integer matrices, which decide the same equality as the
+rational ones, and expand the substitution on plain ints rather than
+through ``FockPoly.substitute`` (see ``check_covariance``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import random
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import (
     compress as _compress,
     count as _count,
@@ -494,8 +498,15 @@ def weyl_commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return WeylOp._new(a.shape, _compose_into(out, b, a, True, -1))
 
 
+# Generators are built once per rank and shared: a WeylOp is never mutated,
+# so its term index (_weyl_view) then serves every later query.
+_GENERATOR_MEMO = 1 << 5
+
+
+@lru_cache(maxsize=_GENERATOR_MEMO)
 def sl2_generators(k: int):
-    """The ladder triple (E, X+, X-) on one row of k variables."""
+    """The ladder triple (E, X+, X-) on one row of k variables, shared by every call."""
+    _require_positive("the ladder triple", k=k)
     shape = FockShape(1, k)
     nv = shape.nvars
     zero = (0,) * nv
@@ -517,7 +528,18 @@ def sp2n_generators(n: int, k: int):
 
     E_ab = sum_i Z_ai d_bi + (k/2) delta_ab, P_ab = -sum_i Z_ai Z_bi,
     D_ab = sum_i d_ai d_bi; P and D are symmetric in their indices.
+    The dicts are new on every call; the operators in them are shared.
     """
+    return _fresh(_sp2n_family(n, k))
+
+
+def _fresh(fam):
+    return {name: dict(ops) for name, ops in fam.items()}
+
+
+@lru_cache(maxsize=_GENERATOR_MEMO)
+def _sp2n_family(n, k):
+    _require_positive("the oscillator algebra", n=n, k=k)
     shape = FockShape(n, k)
     nv = shape.nvars
     zero = (0,) * nv
@@ -552,7 +574,16 @@ def sp2n_generators(n: int, k: int):
 
 
 def supq_laplacians(p: int, q: int, k: int):
-    """Invariant quadratics p_ab = sum_i Z_ai W_bi and their Laplacians."""
+    """Invariant quadratics p_ab = sum_i Z_ai W_bi and their Laplacians.
+
+    The dicts are new on every call; the operators in them are shared.
+    """
+    return _fresh(_supq_family(p, q, k))
+
+
+@lru_cache(maxsize=_GENERATOR_MEMO)
+def _supq_family(p, q, k):
+    _require_positive("the u(p,q) quadratics", p=p, q=q, k=k)
     shape = FockShape(p, k, q)
     nv = shape.nvars
     zero = (0,) * nv
@@ -581,7 +612,6 @@ def _require_positive(algebra: str, **ranks):
 
 def verify_sl2(k: int) -> tuple[int, bool]:
     """Check the three ladder relations at rank k."""
-    _require_positive("the ladder triple", k=k)
     e_op, xp, xm = sl2_generators(k)
     checks = [
         weyl_commutator(e_op, xp) == 2 * xp,
@@ -593,7 +623,6 @@ def verify_sl2(k: int) -> tuple[int, bool]:
 
 def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
     """Check every index instance of the six commutation relation families."""
-    _require_positive("the oscillator algebra", n=n, k=k)
     fam = sp2n_generators(n, k)
     e_ops, p_ops, d_ops = fam["E"], fam["P"], fam["D"]
     shape = FockShape(n, k)
@@ -644,7 +673,6 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
 
 def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
     """Check that the invariant quadratics and Laplacians each commute."""
-    _require_positive("the u(p,q) quadratics", p=p, q=q, k=k)
     fam = supq_laplacians(p, q, k)
     pairs = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
     checked = 0
@@ -679,9 +707,12 @@ def harmonic_project_rank1(f: FockPoly, k: int):
         return []
     if not f.is_homogeneous():
         raise NotHomogeneous("harmonic projection needs a homogeneous input")
+    m = f.degree()
+    if m < 2:
+        # Already harmonic; this also serves k = 0, which has no ladder triple.
+        return [(0, f)]
     _, _, lower = sl2_generators(k)
     p0 = radial_square(k)
-    m = f.degree()
     work = f
     components = []
     for j in range(m // 2, -1, -1):
@@ -843,7 +874,9 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     side "left_lower" multiplies by random lower-triangular matrices on
     the row index; side "right_upper" by upper-triangular matrices on the
     column index.  Exact equality with the character factor must hold on
-    every trial; a False return is a result, not an error.
+    every trial; a False return is a result, not an error.  Negative
+    exponents raise BadSignature and fewer than one trial ValueError,
+    before any trial runs.
 
     Each trial draws B with entries in {0, +-1/2, +-1, +-2} (diagonal
     {1/2, 1, 2}) but substitutes the integer matrix 2B, so the arithmetic
@@ -852,7 +885,10 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     the exponents, holds exactly when f(2B Z) has coefficient
     c * F * 2^|e| at each term c * z^e of f, |e| counting only the
     substituted variables (W is fixed on the left); both sides are
-    compared times 2^|exponents|, which makes F an integer.
+    compared times 2^|exponents|, which makes F an integer.  f(2B Z) is
+    expanded on plain ints, monomials keyed by their sorted variable
+    indices with repeats, the real and imaginary parts of each
+    coefficient scaling the expansion of its monomial separately.
     """
     if f.is_zero():
         raise ValueError("covariance of the zero polynomial is vacuous")
@@ -863,39 +899,92 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     exponents = tuple(exponents)
     if len(exponents) > size:
         raise BadSignature(f"{len(exponents)} exponents for {size} diagonal entries")
+    if any(x < 0 for x in exponents):
+        raise BadSignature("covariance exponents must be nonnegative")
+    if trials < 1:
+        raise ValueError(f"covariance needs at least one trial, got trials={trials}")
     exponents = exponents + (0,) * (size - len(exponents))
+    left = side == "left_lower"
     # Left substitutions fix W, so only the degree in Z scales.
-    moved = shape.rows * shape.cols if side == "left_lower" else shape.nvars
-    used = {i for e in f.terms for i, _ in _items(e)}
-    terms = [(e, c, sum(e[:moved])) for e, c in f.terms.items()]
+    moved = shape.rows * shape.cols if left else shape.nvars
+    terms = [(_index_key(e), c) for e, c in f.terms.items()]
+    degrees = [sum(e[:moved]) for e in f.terms]
+    keys = {key for key, _ in terms}
+    used = {i for key in keys for i in key}
     rng = random.Random(seed)
     for _ in range(trials):
         b = [[0] * size for _ in range(size)]
         for i in range(size):
             b[i][i] = rng.choice(DIAG_ENTRIES)
             for j in range(i):
-                if side == "left_lower":
+                if left:
                     b[i][j] = rng.choice(OFF_DIAG_ENTRIES)
                 else:
                     b[j][i] = rng.choice(OFF_DIAG_ENTRIES)
         factor = 1
         for i in range(size):
-            factor *= b[i][i] ** _nonneg(exponents[i])
+            factor *= b[i][i] ** exponents[i]
         scale = 1 << sum(exponents)
-        images = _linear_images(shape, b, "left" if side == "left_lower" else "right", used)
-        image = f.substitute(images).terms
-        if image.keys() != f.terms.keys():
+        re_part, im_part = _int_expand(terms, _int_images(shape, b, left, used))
+        image_keys = {key for key, x in re_part.items() if x}
+        image_keys.update(key for key, x in im_part.items() if x)
+        if image_keys != keys:
             return False
-        for e, c, degree in terms:
-            if image[e] * scale != c * (factor << degree):
+        for (key, c), degree in zip(terms, degrees):
+            target = factor << degree
+            if (
+                re_part.get(key, 0) * scale != c.re * target
+                or im_part.get(key, 0) * scale != c.im * target
+            ):
                 return False
     return True
 
 
-def _nonneg(e):
-    if e < 0:
-        raise BadSignature("covariance exponents must be nonnegative")
-    return e
+def _index_key(e):
+    """The sorted variable indices of the monomial with exponents e, repeats included."""
+    return tuple(i for i, x in _items(e) for _ in range(x))
+
+
+def _int_images(shape: FockShape, m, left: bool, variables) -> dict:
+    """Images of the given variables under Z -> M Z (left; W is fixed) or
+    Z -> Z M and W -> W M (right), for a square int matrix M: each variable
+    maps to the (variable, entry) pairs of its image."""
+    cols = shape.cols
+    images = {}
+    for v in variables:
+        row, i = divmod(v, cols)
+        if not left:
+            images[v] = [(row * cols + t, m[t][i]) for t in range(cols) if m[t][i]]
+        elif row < shape.rows:
+            images[v] = [(t * cols + i, x) for t, x in enumerate(m[row]) if x]
+        else:
+            images[v] = [(v, 1)]
+    return images
+
+
+def _int_expand(terms, images):
+    """Expand sum c * prod_v images[v] over the (index key, c) terms.
+
+    The products run on plain ints, keyed like _index_key; the real and
+    imaginary parts of each c then scale the expansion of its monomial
+    into two dicts, returned as (re, im), which may hold zero entries.
+    """
+    re_part: dict = {}
+    im_part: dict = {}
+    for key, c in terms:
+        poly = {(): 1}
+        for v in key:
+            nxt: dict = {}
+            for mono, x in poly.items():
+                for w, y in images[v]:
+                    mono_w = tuple(sorted(mono + (w,)))
+                    nxt[mono_w] = nxt.get(mono_w, 0) + x * y
+            poly = nxt
+        for part, value in ((re_part, c.re), (im_part, c.im)):
+            if value:
+                for mono, x in poly.items():
+                    part[mono] = part.get(mono, 0) + value * x
+    return re_part, im_part
 
 
 def translate(f: FockPoly, g, side: str = "right") -> FockPoly:
@@ -918,18 +1007,17 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _linear_images(shape: FockShape, matrix, side: str, variables=None) -> dict:
+def _linear_images(shape: FockShape, matrix, side: str) -> dict:
     """Variable images of the substitution Z -> M Z or Z -> Z M.
 
     side "left" maps Z to M Z (rows mix, W is fixed); side "right" maps
     Z to Z M and W to W M (columns mix).  M is a square matrix of exact
-    scalars of the matching size.  Images are built for the given
-    variable indices only, or for every variable when none are given.
+    scalars of the matching size.
     """
     m = [[GaussRat.coerce(x) for x in row] for row in matrix]
     cols, nv = shape.cols, shape.nvars
     images = {}
-    for idx in range(nv) if variables is None else variables:
+    for idx in range(nv):
         row, i = divmod(idx, cols)
         if side == "right":
             terms = {_unit(nv, row * cols + t): m[t][i] for t in range(cols) if m[t][i]}

@@ -38,6 +38,10 @@ from isotypic.fock import (
     weyl_commutator,
     z_var,
     w_var,
+    _index_key,
+    _int_expand,
+    _int_images,
+    _linear_images,
     _matrix_inverse,
 )
 from oracles import (
@@ -360,6 +364,9 @@ def test_harmonic_projection_trivial_cases():
     ]
     with pytest.raises(NotHomogeneous):
         harmonic_project_rank1(p0 + z_var(shape, 1, 1), 3)
+    # Degrees 0 and 1 are harmonic, also on a row of no variables.
+    for f, k in ((z_var(shape, 1, 2), 3), (FockPoly.constant(FockShape(1, 0), 3), 0)):
+        assert harmonic_project_rank1(f, k) == [(0, f)]
 
 
 def test_harmonic_projection_random_reconstruction():
@@ -802,3 +809,102 @@ def test_check_covariance_never_renders_a_polynomial(monkeypatch):
     with pytest.raises(TypeError):
         GaussRat(vec)
     assert calls
+
+
+def test_check_covariance_rejects_negative_exponents_before_any_trial():
+    vec = hwv("gl", (1,), 1, 2)
+    for trials in (0, -3, 1, 8):
+        with pytest.raises(BadSignature, match="nonnegative"):
+            check_covariance(vec, "left_lower", (-1,), trials=trials)
+        with pytest.raises(BadSignature, match="nonnegative"):
+            check_covariance(vec, "right_upper", (1, -1), trials=trials)
+
+
+def test_check_covariance_needs_at_least_one_trial():
+    vec = hwv("gl", (1,), 1, 2)
+    for side, trials in product(("left_lower", "right_upper"), (0, -3)):
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_covariance(vec, side, (1,), trials=trials)
+    assert check_covariance(vec, "left_lower", (1,), trials=1)
+
+
+@st.composite
+def _substitution_cases(draw):
+    """A polynomial on a random shape and a triangular int matrix for one side."""
+    shape = FockShape(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    left = draw(st.booleans())
+    size = shape.rows if left else shape.cols
+    entry = st.integers(-4, 4)
+    m = [
+        [draw(entry) if (j <= i if left else i <= j) else 0 for j in range(size)]
+        for i in range(size)
+    ]
+    part = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = [0] * shape.nvars
+        # Degree 0 gives constant terms.
+        for idx in draw(st.lists(st.integers(0, shape.nvars - 1), max_size=3)):
+            exps[idx] += 1
+        terms[tuple(exps)] = GaussRat(draw(part), draw(part))
+    return FockPoly(shape, terms), m, left
+
+
+@settings(max_examples=80, deadline=None)
+@given(_substitution_cases())
+def test_integer_expansion_matches_substitute(case):
+    """The int kernel of check_covariance against FockPoly.substitute."""
+    f, m, left = case
+    terms = [(_index_key(e), c) for e, c in f.terms.items()]
+    used = {i for key, _ in terms for i in key}
+    re_part, im_part = _int_expand(terms, _int_images(f.shape, m, left, used))
+    got = {key: GaussRat(re_part.get(key, 0), im_part.get(key, 0)) for key in re_part.keys() | im_part.keys()}
+    image = f.substitute(_linear_images(f.shape, m, "left" if left else "right"))
+    assert {key: c for key, c in got.items() if c} == {_index_key(e): c for e, c in image.terms.items()}
+
+
+def test_integer_covariance_trials_make_no_gaussrat_products(monkeypatch):
+    """Trials on an integer-coefficient f never reach GaussRat arithmetic."""
+    cases = [
+        (hwv("gl", (2, 1), 2, 3), (2, 1), (1, 2)),
+        (hwv("gl", (1, 1, 1), 3, 3), (1, 1, 1), (2, 1)),
+        (hwv("gl", (3,), 1, 2), (3,), (2,)),
+    ]
+    calls = []
+    real = GaussRat.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(GaussRat, "__mul__", counted)
+    monkeypatch.setattr(GaussRat, "__rmul__", counted)
+    for vec, exps, wrong in cases:
+        for side in ("left_lower", "right_upper"):
+            assert check_covariance(vec, side, exps, seed=4)
+            assert not check_covariance(vec, side, wrong, seed=4)
+    assert calls == []
+
+
+def test_generators_are_built_once_and_handed_out_in_fresh_dicts():
+    import isotypic.fock as fock
+
+    assert sl2_generators(3) is sl2_generators(3)
+    for build in (lambda: sp2n_generators(2, 3), lambda: supq_laplacians(2, 1, 3)):
+        first, second = build(), build()
+        assert first is not second
+        for name, ops in first.items():
+            assert ops is not second[name]
+            assert all(op is second[name][key] for key, op in ops.items())
+        # A caller's edit stays in its own dicts.
+        for ops in first.values():
+            ops.clear()
+        assert build() == second and all(build().values())
+    fam = sp2n_generators(2, 3)
+    assert all(fam[name][(a, b)] is fam[name][(b, a)] for name in "PD" for a in (1, 2) for b in (1, 2))
+    for memo in (fock.sl2_generators, fock._sp2n_family, fock._supq_family):
+        assert memo.cache_info().maxsize is not None
+    for call in (lambda: sp2n_generators(0, 3), lambda: sl2_generators(0), lambda: supq_laplacians(1, 0, 2)):
+        for _ in range(2):
+            with pytest.raises(RankTooSmall):
+                call()
