@@ -7,9 +7,10 @@ with all parts even (SO) or all columns even (Sp).  One function,
 the table in a bounded memo keyed by (lam, delta family), since it does
 not depend on k; the restrictions, the dual-side (lowest-K-type)
 multiplicity and side B of the reciprocity report all read it.  Side A
-recomputes the restriction through the character oracle on every call
-and never reads that memo, so the two sides stay computationally
-independent.
+recomputes the restriction on every call from the torus character of
+lam, by the Weyl-group alternating sum over its dominant weights
+(`characters.weyl_fold`).  It never reads that memo or any LR table, so
+the two sides stay computationally independent.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import greedy_decompose, schur_laurent_on_so_torus
+from .characters import _torus_dominant_weights, weyl_fold
 from .errors import OddRank, OutsideStableRange, RankTooSmall
 from .lr import Decomposition, _fold, _lr_table, _mixed_table, contragredient, tensor_multi
 from .signatures import (
@@ -79,7 +80,8 @@ def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
         raise OutsideStableRange(
             f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
         )
-    return Decomposition(GroupFamily("so", k), _littlewood_terms(lam, _even_row_partitions))
+    terms = _littlewood_terms(lam, _even_row_partitions)
+    return Decomposition._new(GroupFamily("so", k), terms)
 
 
 def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
@@ -91,7 +93,8 @@ def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
         raise OutsideStableRange(
             f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
         )
-    return Decomposition(GroupFamily("sp", k), _littlewood_terms(lam, _even_column_partitions))
+    terms = _littlewood_terms(lam, _even_column_partitions)
+    return Decomposition._new(GroupFamily("sp", k), terms)
 
 
 def branch_rank1_closed_form(m: int) -> Decomposition:
@@ -130,18 +133,18 @@ class ReciprocityReport:
 def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     """Compare restriction multiplicities against the dual-side formula.
 
-    Side A restricts lam to SO(k) through the character oracle (torus
-    restriction plus greedy peeling), never through the Littlewood sum,
-    so the comparison with side B is between independent computations.
+    Side A restricts lam to SO(k) through the character oracle: the
+    torus restriction of lam, decomposed by the Weyl-group alternating
+    sum over its dominant weights.  It never reads the Littlewood sum or
+    an LR table, so the comparison with side B is between independent
+    computations.
     """
     lam = canonicalize(lam)
     if len(lam) > n:
         raise RankTooSmall(f"signature {list(lam)} needs n >= {len(lam)}")
     if k <= 2 * n:
         raise OutsideStableRange(f"need k > 2n; got n={n}, k={k}")
-    side_a = greedy_decompose(
-        schur_laurent_on_so_torus(lam, k), GroupFamily("so", k)
-    )
+    side_a = weyl_fold(_torus_dominant_weights(lam, k), k)
     side_b = _littlewood_terms(lam, _even_row_partitions)
     rows = []
     for mu in sorted(set(side_a.signatures()) | set(side_b), reverse=True):
@@ -168,4 +171,4 @@ def diagonal_branch(factors, k: int) -> Decomposition:
         for sig, flag in prepared
     ]
     table = lambda sig, nxt: _mixed_table(sig, nxt, k)
-    return Decomposition(GroupFamily("u", k), _fold(mixed, k, table))
+    return Decomposition._new(GroupFamily("u", k), _fold(mixed, k, table))

@@ -3,14 +3,17 @@
 Everything here verifies the LR/branching combinatorics by a disjoint
 route: GL characters come from semistandard tableau enumeration, SO
 characters from alternant ratios with exact division, and decompositions
-are recovered by greedily peeling highest weights.  Characters are
-``LaurentPoly`` term maps on the shared core of ``isotypic.terms``.
+are recovered by greedily peeling highest weights or, for SO, by the
+Weyl-group alternating sum over the dominant weights (`weyl_fold`).
+Characters are ``LaurentPoly`` term maps on the shared core of
+``isotypic.terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import prod
 from operator import add, index
 
@@ -114,6 +117,82 @@ def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
         exps = tuple(content[i] - content[nu + i] for i in range(nu))
         terms[exps] = terms.get(exps, 0) + 1
     return LaurentPoly._new(nu, terms)
+
+
+def dominant_weights(chi: LaurentPoly) -> tuple:
+    """The ``(e, mult)`` terms of chi with e_1 >= ... >= e_nu >= 0."""
+    return tuple(
+        (e, m)
+        for e, m in chi.terms.items()
+        if all(a >= b for a, b in zip(e, e[1:])) and (not e or e[-1] >= 0)
+    )
+
+
+@lru_cache(maxsize=1 << 10)
+def _torus_dominant_weights(lam: Signature, k: int) -> tuple:
+    """Dominant weights of the memoised `schur_laurent_on_so_torus(lam, k)`."""
+    return dominant_weights(schur_laurent_on_so_torus(lam, k))
+
+
+@lru_cache(maxsize=1 << 10)
+def _orbit_fold(e: tuple, k: int) -> tuple:
+    """Signed fold of the orbit of e under all signed permutations, for SO(k).
+
+    Each orbit weight o goes to v = o + rho, both doubled in type B (k
+    odd) so rho is integral.  A v on a wall (a repeated |v_i|, or a zero
+    in type B) contributes nothing.  Otherwise the Weyl element that
+    sorts |v| decreasingly gives mu = w(v) - rho with sign det(w): type B
+    flips every negative entry; type D flips only an even number, so an
+    odd count of negatives leaves the last entry negative, unless v has a
+    zero entry: that zero sorts last and takes the odd flip, staying 0.
+    Returns ``((mu, sign), ...)``.
+    """
+    nu = len(e)
+    odd = k % 2
+    rho = [2 * (nu - i) - 1 if odd else nu - i - 1 for i in range(nu)]
+    out: dict = {}
+    for perm in set(permutations(e)):
+        for o in product(*[(x, -x) if x else (0,) for x in perm]):
+            v = [(2 * x if odd else x) + r for x, r in zip(o, rho)]
+            a = [abs(x) for x in v]
+            if len(set(a)) < nu or (odd and 0 in a):
+                continue
+            order = sorted(range(nu), key=a.__getitem__, reverse=True)
+            flips = sum(x < 0 for x in v)
+            inversions = sum(order[i] > order[j] for i in range(nu) for j in range(i + 1, nu))
+            dom = [a[i] for i in order]
+            if not odd and flips % 2:
+                dom[-1] = -dom[-1]
+            sign = -1 if (inversions + (flips if odd else 0)) % 2 else 1
+            mu = trim((d - r) // 2 if odd else d - r for d, r in zip(dom, rho))
+            add_into(out, mu, sign)
+    return tuple(out.items())
+
+
+def weyl_fold(dominant, k: int) -> Decomposition:
+    """Decompose an SO(k) character by the Weyl-group alternating sum.
+
+    `dominant` lists the ``(e, mult)`` pairs of `dominant_weights(chi)`
+    for a character chi invariant under all signed permutations, as every
+    restricted U(k) character is.  The multiplicity of mu is the sum of
+    mult(e) det(w) over the weights e and Weyl elements w with
+    w(e + rho) = mu + rho (Racah-Speiser / Brauer-Klimyk); each dominant
+    weight carries its whole orbit through the memoised `_orbit_fold`.  A negative or
+    non-dominant result means chi was no character.
+    """
+    total: dict = {}
+    for e, m in dominant:
+        for mu, sign in _orbit_fold(e, k):
+            total[mu] = total.get(mu, 0) + m * sign
+    found = {}
+    for mu, mult in total.items():
+        if mult < 0:
+            raise NegativeMultiplicity(f"weight {list(mu)} received multiplicity {mult}")
+        if mult:
+            if mu and mu[-1] < 0:
+                raise NegativeMultiplicity(f"weight {list(mu)} is not a dominant weight")
+            found[mu] = mult
+    return Decomposition._new(GroupFamily("so", k), found)
 
 
 def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

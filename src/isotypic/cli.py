@@ -27,10 +27,11 @@ from .characters import dim
 from .errors import IsotypicError, NotDecreasing
 from .fock import (
     FockShape,
+    _build_poly,
+    _tokenize_poly,
     check_covariance,
     hwv,
     pairing,
-    parse_poly,
     render_poly,
     sl2_generators,
     sp2n_generators,
@@ -325,15 +326,11 @@ def _fock_hwv_result(args):
 
 
 def _fock_pair_result(args):
-    first = parse_poly(args.exprs[0])
-    second = parse_poly(args.exprs[1])
+    (first, ext1), (second, ext2) = (_tokenize_poly(text) for text in args.exprs)
     shape = FockShape(
-        max(first.shape.rows, second.shape.rows),
-        max(first.shape.cols, second.shape.cols),
-        max(first.shape.wrows, second.shape.wrows),
+        max(ext1.rows, ext2.rows), max(ext1.cols, ext2.cols), max(ext1.wrows, ext2.wrows)
     )
-    first = parse_poly(args.exprs[0], shape)
-    second = parse_poly(args.exprs[1], shape)
+    first, second = _build_poly(first, shape), _build_poly(second, shape)
     query = f"fock-pair|{render_poly(first)}|{render_poly(second)}"
     return query, lambda: {"value": str(pairing(first, second))}
 

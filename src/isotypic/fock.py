@@ -1119,11 +1119,20 @@ def _split_top_level(text, seps):
     return pieces
 
 
-def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
-    """Parse the canonical polynomial text form.
+def _read_variable(tok):
+    """``(block, row, col, power)`` of a variable token, else None."""
+    m = _VAR_RE.match(tok)
+    return m and (m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4) or 1))
 
-    When no shape is supplied, the smallest shape covering every
-    mentioned variable is used.
+
+def _tokenize_poly(text: str, shape: FockShape | None = None):
+    """Read polynomial text into ``(terms, extent)``.
+
+    `terms` lists ``(coeff, vars)`` per term, `vars` the ``(block, row,
+    col, power)`` of its variables; `extent` is the smallest shape that
+    covers them.  Every error of the text is raised here, in text order,
+    with each variable checked against `shape` (default: the extent), so
+    building at any covering shape cannot fail.
     """
     squeezed = text.replace(" ", "")
     if not squeezed:
@@ -1146,35 +1155,53 @@ def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
                 merged[-1] += "*i"
             else:
                 merged.append(tok)
-        raw_terms.append((sign, merged))
+        raw_terms.append((sign, [_read_variable(tok) or tok for tok in merged]))
     max_z = max_w = max_col = 0
     for _, factors in raw_terms:
         for tok in factors:
-            m = _VAR_RE.match(tok)
-            if m:
-                block, row, col = m.group(1), int(m.group(2)), int(m.group(3))
+            if not isinstance(tok, str):
+                block, row, col, _ = tok
                 max_col = max(max_col, col)
                 if block == "Z":
                     max_z = max(max_z, row)
                 else:
                     max_w = max(max_w, row)
-    if shape is None:
-        shape = FockShape(max(max_z, 1), max(max_col, 1), max_w)
-    terms: dict = {}
-    for sign, factors in raw_terms:
-        coeff = sign
-        exps = [0] * shape.nvars
+    extent = FockShape(max(max_z, 1), max(max_col, 1), max_w)
+    check = shape or extent
+    terms = []
+    for coeff, factors in raw_terms:
+        variables = []
         for tok in factors:
-            m = _VAR_RE.match(tok)
-            if m:
-                block, row, col = m.group(1), int(m.group(2)), int(m.group(3))
-                power = int(m.group(4)) if m.group(4) else 1
-                idx = shape.z_index(row, col) if block == "Z" else shape.w_index(row, col)
-                exps[idx] += power
-            elif tok.startswith("(") and tok.endswith(")"):
-                coeff = coeff * parse_gauss(tok[1:-1])
-            else:
-                coeff = coeff * parse_gauss(tok)
-        if coeff:
-            add_into(terms, tuple(exps), coeff)
-    return FockPoly._new(shape, terms)
+            if isinstance(tok, str):
+                inner = tok[1:-1] if tok.startswith("(") and tok.endswith(")") else tok
+                coeff = coeff * parse_gauss(inner)
+                continue
+            block, row, col, _ = tok
+            (check.z_index if block == "Z" else check.w_index)(row, col)
+            variables.append(tok)
+        terms.append((coeff, variables))
+    return terms, extent
+
+
+def _build_poly(terms, shape: FockShape) -> FockPoly:
+    """The polynomial of tokenized `terms` at a shape covering their extent."""
+    out: dict = {}
+    for coeff, variables in terms:
+        if not coeff:
+            continue
+        exps = [0] * shape.nvars
+        for block, row, col, power in variables:
+            idx = shape.z_index(row, col) if block == "Z" else shape.w_index(row, col)
+            exps[idx] += power
+        add_into(out, tuple(exps), coeff)
+    return FockPoly._new(shape, out)
+
+
+def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
+    """Parse the canonical polynomial text form.
+
+    When no shape is supplied, the smallest shape covering every
+    mentioned variable is used.
+    """
+    terms, extent = _tokenize_poly(text, shape)
+    return _build_poly(terms, shape or extent)

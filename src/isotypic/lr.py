@@ -4,7 +4,10 @@ One search per product: `_lr_table(lam, mu)` adds the rows of the lighter
 factor to the heavier one as horizontal strips under the lattice rule and
 returns every c^nu_{lam,mu} at once, in a bounded memo keyed by the
 canonical factors.  Single coefficients, products at a rank, and iterated
-and mixed (contragredient) products all read these tables.
+and mixed (contragredient) products all read these tables; the mixed
+products pass their rank, so the search never opens a row past it.
+Results built from these clean tables go through the trusted
+`Decomposition._new`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ class Decomposition:
             self, "_terms", dict(sorted(clean.items(), reverse=True))
         )
 
+    @classmethod
+    def _new(cls, group: GroupFamily, terms: dict):
+        """Trusted constructor: keys already tuples, multiplicities positive."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "group", group)
+        object.__setattr__(out, "_terms", dict(sorted(terms.items(), reverse=True)))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
 
@@ -91,18 +102,21 @@ class Decomposition:
 
 
 @lru_cache(maxsize=1 << 14)
-def _lr_table(lam: Signature, mu: Signature) -> dict:
+def _lr_table(lam: Signature, mu: Signature, maxlen=None) -> dict:
     """The product of canonical lam and mu as ``{nu: c^nu_{lam,mu}}``.
 
     The rows of the lighter factor are added to the heavier one as
     horizontal strips, the i-th strip holding the value i.  The lattice
     rule is checked row by row (the i's in rows <= r never outnumber the
     (i-1)'s in rows < r), so every completed filling is one LR tableau
-    and adds 1 to its shape.  The table is shared: do not mutate it.
+    and adds 1 to its shape.  With `maxlen` set, only the nu of length
+    <= maxlen are searched for.  The table is shared: do not mutate it.
     """
     if (weight(lam), lam) < (weight(mu), mu):
-        return _lr_table(mu, lam)
+        return _lr_table(mu, lam, maxlen)
     table: dict = {}
+    if maxlen is not None and len(lam) > maxlen:
+        return table
     last = len(mu) - 1
 
     def strip(i, shape, prev):
@@ -110,6 +124,9 @@ def _lr_table(lam: Signature, mu: Signature) -> dict:
         rows = len(shape)
         new = list(shape) + [0]
         placed = [0] * (rows + 1)
+        # No row past maxlen-1 is opened, so the rows below r can take at
+        # most `old - floor` more cells: floor is row maxlen-1's length.
+        floor = shape[maxlen - 1] if maxlen is not None and maxlen <= rows else 0
 
         def row(r, left, slack):
             # slack: i's in rows < r minus (i+1)'s in rows < r.
@@ -117,8 +134,7 @@ def _lr_table(lam: Signature, mu: Signature) -> dict:
             hi = left if r == 0 else min(left, shape[r - 1] - old)
             if i:
                 hi = min(hi, slack)
-            # The rows below r can take at most `old` more cells.
-            for x in range(max(0, left - old), hi + 1):
+            for x in range(max(0, left - old + floor), hi + 1):
                 new[r] = old + x
                 placed[r] = x
                 if x < left:
@@ -156,7 +172,7 @@ def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
         raise RankTooSmall(f"factor {list(lam)} needs rank >= {len(lam)}, got {k}")
     if len(mu) > k:
         raise RankTooSmall(f"factor {list(mu)} needs rank >= {len(mu)}, got {k}")
-    return Decomposition(
+    return Decomposition._new(
         group, {nu: c for nu, c in _lr_table(lam, mu).items() if len(nu) <= k}
     )
 
@@ -187,9 +203,9 @@ def tensor_multi(factors, k: int) -> Decomposition:
         if len(f) > k:
             raise RankTooSmall(f"factor {list(f)} needs rank >= {len(f)}, got {k}")
     if not factors:
-        return Decomposition(group, {(): 1})
+        return Decomposition._new(group, {(): 1})
     factors.sort(key=lambda f: (weight(f), f))
-    return Decomposition(group, _fold(factors, k, _lr_table))
+    return Decomposition._new(group, _fold(factors, k, _lr_table))
 
 
 def contragredient(sig: MixedSignature) -> MixedSignature:
@@ -201,18 +217,14 @@ def _mixed_table(sigma: MixedSignature, tau: MixedSignature, k: int) -> dict:
     """Product of rank-k mixed signatures as ``{rho: c}``.
 
     Both factors are shifted by determinant powers until nonnegative,
-    multiplied by LR, cut to length k and shifted back; the outcome does
+    multiplied by LR at length <= k and shifted back; the outcome does
     not depend on the shifts chosen.
     """
     a = max(0, -sigma[-1]) if sigma else 0
     b = max(0, -tau[-1]) if tau else 0
     lam = canonicalize(trim(shift_mixed(sigma, a)))
     mu = canonicalize(trim(shift_mixed(tau, b)))
-    return {
-        shift_mixed(pad(nu, k), -(a + b)): c
-        for nu, c in _lr_table(lam, mu).items()
-        if len(nu) <= k
-    }
+    return {shift_mixed(pad(nu, k), -(a + b)): c for nu, c in _lr_table(lam, mu, k).items()}
 
 
 def tensor_mixed(sigma: MixedSignature, tau: MixedSignature, k: int) -> Decomposition:
@@ -221,4 +233,4 @@ def tensor_mixed(sigma: MixedSignature, tau: MixedSignature, k: int) -> Decompos
         raise RankMismatch(
             f"mixed signatures {list(sigma)}, {list(tau)} must have declared rank {k}"
         )
-    return Decomposition(GroupFamily("u", k), _mixed_table(sigma, tau, k))
+    return Decomposition._new(GroupFamily("u", k), _mixed_table(sigma, tau, k))

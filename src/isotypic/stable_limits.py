@@ -29,11 +29,14 @@ class StableResult:
 
 def _stable_result(dec: Decomposition, k_start: int, k0: int, step: int = 1):
     family = dec.group.family
+    terms = dec._terms
     probes = tuple(
-        (k, Decomposition(GroupFamily(family, k), [t for t in dec if len(t[0]) <= k]))
+        (k, Decomposition._new(
+            GroupFamily(family, k), {s: m for s, m in terms.items() if len(s) <= k}
+        ))
         for k in range(k_start, k0 + step + 1, step)
     )
-    return StableResult(Decomposition(GroupFamily(family, "stable"), dec), k0, probes)
+    return StableResult(Decomposition._new(GroupFamily(family, "stable"), terms), k0, probes)
 
 
 def stable_tensor(factors) -> StableResult:

@@ -82,6 +82,17 @@ def test_reciprocity_examples():
     assert reciprocity_check((2, 1), 2, 5).all_agree
 
 
+def test_reciprocity_type_d_case_with_a_zero_entry():
+    """Side A at k = 4 folds weights whose v = e + rho has a zero entry and
+    an odd number of negatives; a type-D fold that mishandled that zero
+    got this case wrong."""
+    assert reciprocity_check((4,), 1, 4).rows == (
+        ((4,), 1, 1, True),
+        ((2,), 1, 1, True),
+        ((), 1, 1, True),
+    )
+
+
 def test_reciprocity_guards():
     with pytest.raises(RankTooSmall):
         reciprocity_check((1, 1), 1, 5)

@@ -5,13 +5,17 @@ import pytest
 
 from isotypic.characters import (
     LaurentPoly,
+    _orbit_fold,
+    _torus_dominant_weights,
     dim,
+    dominant_weights,
     greedy_decompose,
     laurent_exact_div,
     schur_laurent_on_so_torus,
     schur_poly,
     schur_product_decompose,
     so_character,
+    weyl_fold,
 )
 from isotypic.errors import (
     DivisionNotExact,
@@ -168,6 +172,50 @@ def test_greedy_decompose_rejects_non_characters():
     chi = schur_laurent_on_so_torus((2,), 3) - 2 * so_character((), 3)
     with pytest.raises(NegativeMultiplicity):
         greedy_decompose(chi, GroupFamily("so", 3))
+
+
+def test_weyl_fold_matches_greedy_peeling():
+    """Types B (k odd) and D (k even), |lam| <= 7, inside the stable range."""
+    cases = 0
+    for k in range(3, 8):
+        for w in range(8):
+            for lam in iter_partitions(w, max_length=(k - 1) // 2):
+                chi = schur_laurent_on_so_torus(lam, k)
+                folded = weyl_fold(_torus_dominant_weights(lam, k), k)
+                peeled = greedy_decompose(chi, GroupFamily("so", k))
+                assert folded == peeled and repr(folded) == repr(peeled), (lam, k)
+                assert weyl_fold(dominant_weights(chi), k) == folded
+                cases += 1
+    assert cases == 87
+
+
+def test_weyl_fold_of_irreducible_characters():
+    for k in (3, 4, 5, 6, 7):
+        for w in range(5):
+            for mu in iter_partitions(w, max_length=(k - 1) // 2):
+                dec = weyl_fold(dominant_weights(so_character(mu, k)), k)
+                assert dec.terms == {mu: 1} and dec.group == GroupFamily("so", k)
+
+
+def test_weyl_fold_rejects_non_characters():
+    chi = schur_laurent_on_so_torus((2,), 3) - 2 * so_character((), 3)
+    with pytest.raises(NegativeMultiplicity, match="received multiplicity -1"):
+        weyl_fold(dominant_weights(chi), 3)
+    # Outside the stable range, U(4) (1, 1) restricts to SO(4) (1, 1) + (1, -1):
+    # (1, -1) is dominant for type D but no signature.
+    with pytest.raises(NegativeMultiplicity, match=r"\[1, -1\] is not a dominant weight"):
+        weyl_fold(_torus_dominant_weights((1, 1), 4), 4)
+
+
+def test_orbit_fold_type_d_parity():
+    """At k = 4, rho = (1, 0).  (2, 0) + rho = (3, 0) gives (2); the one
+    negative of (-2, 0) + rho = (-1, 0) flips together with the zero, to
+    rho itself; (0, 2) + rho = (1, 2) needs a swap, sign -1; and the one
+    negative of (0, -2) + rho = (1, -2) must stay, giving (1, -1)."""
+    assert dict(_orbit_fold((2, 0), 4)) == {(2,): 1, (): 1, (1, 1): -1, (1, -1): -1}
+    # Type B, doubled: at k = 5, 2e + rho is (5, 1), (1, 1), (3, 3) and
+    # (3, -1) over the orbit of (1, 0); the last flips once, giving () at -1.
+    assert dict(_orbit_fold((1, 0), 5)) == {(1,): 1, (): -1}
 
 
 def test_greedy_decompose_raises_when_a_peel_keeps_its_leading_weight():

@@ -1,12 +1,17 @@
 import random
+import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+import test_output_digest
+from isotypic import branching, lr, stable_limits
 from isotypic.characters import dim, schur_product_decompose
 from isotypic.errors import RankConstraint, RankMismatch, RankTooSmall
 from isotypic.lr import (
     Decomposition,
+    _lr_table,
     contragredient,
     lr_coefficient,
     tensor_mixed,
@@ -15,10 +20,12 @@ from isotypic.lr import (
 )
 from isotypic.signatures import (
     GroupFamily,
+    canonicalize,
     conjugate,
     iter_partitions,
     pad,
     shift_mixed,
+    trim,
     weight,
 )
 
@@ -208,3 +215,95 @@ def test_decomposition_iteration_is_descending_lex():
     assert sigs == sorted(sigs, reverse=True)
     assert dec[(6, 2)] == 5
     assert dec[(9,)] == 0
+
+
+def _cut(lam, mu, maxlen):
+    return {nu: c for nu, c in _lr_table(lam, mu).items() if len(nu) <= maxlen}
+
+
+def test_bounded_lr_table_is_the_cut_table():
+    parts = all_partitions(4)
+    for lam, mu in product(parts, parts):
+        for maxlen in range(1, 6):
+            assert _lr_table(lam, mu, maxlen) == _cut(lam, mu, maxlen), (lam, mu, maxlen)
+
+
+PARTITIONS = st.lists(st.integers(0, 4), max_size=5).map(
+    lambda parts: canonicalize(sorted(parts, reverse=True))
+)
+
+
+@given(PARTITIONS, PARTITIONS, st.integers(1, 6))
+def test_bounded_lr_table_is_the_cut_table_hypothesis(lam, mu, maxlen):
+    assert _lr_table(lam, mu, maxlen) == _cut(lam, mu, maxlen)
+
+
+def _mixed_table_by_cut(sigma, tau, k):
+    """The mixed product as first computed: unbounded table, then cut to k."""
+    a = max(0, -sigma[-1]) if sigma else 0
+    b = max(0, -tau[-1]) if tau else 0
+    lam = canonicalize(trim(shift_mixed(sigma, a)))
+    mu = canonicalize(trim(shift_mixed(tau, b)))
+    return {shift_mixed(pad(nu, k), -(a + b)): c for nu, c in _cut(lam, mu, k).items()}
+
+
+def test_mixed_products_agree_with_the_cut_table_on_the_digest_grid(monkeypatch):
+    """tensor_mixed, diagonal_branch and identity_multiplicity render the
+    same digest grid from bounded and from cut tables."""
+    bounded = test_output_digest.grid_lines()
+    for module in (lr, branching, stable_limits):
+        monkeypatch.setattr(module, "_mixed_table", _mixed_table_by_cut)
+    assert test_output_digest.grid_lines() == bounded
+    assert any(line.startswith("tensor_mixed") for line in bounded)
+    assert any(line.startswith("identity_multiplicity") for line in bounded)
+
+
+def test_trusted_constructor_matches_the_public_one_at_every_call_site(monkeypatch):
+    trusted = Decomposition._new.__func__
+    callers = set()
+
+    def checked(cls, group, terms):
+        out = trusted(cls, group, terms)
+        public = Decomposition(group, terms)
+        assert out == public and repr(out) == repr(public)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return out
+
+    monkeypatch.setattr(Decomposition, "_new", classmethod(checked))
+    test_output_digest.grid_lines()
+    for lam, mu in product(all_partitions(3), all_partitions(2)):
+        tensor_pair(lam, mu, 3)
+    assert callers == {
+        "tensor_pair", "tensor_multi", "tensor_mixed", "diagonal_branch",
+        "restrict_gl_to_so", "restrict_gl_to_sp", "weyl_fold", "_stable_result",
+    }
+
+
+def test_public_constructor_still_checks_its_terms():
+    group = GroupFamily("u", 2)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        Decomposition(group, {(1,): -1})
+    dec = Decomposition(group, [([1], 2), ((1,), 1), ((2,), 0)])
+    assert dec.terms == {(1,): 3}
+    assert Decomposition._new(group, {(1,): 3, (2,): 1}) == Decomposition(group, {(2,): 1, (1,): 3})
+
+
+def test_results_do_not_share_the_memo_tables():
+    """Mutating a returned decomposition leaves the LR and Littlewood memos intact."""
+    lam, mu = (2, 1), (1,)
+    lr_before = dict(_lr_table(lam, mu))
+    lw_before = dict(branching._littlewood_terms(lam, branching._even_row_partitions))
+    results = [
+        tensor_pair(lam, mu, 3),
+        branching.restrict_gl_to_so(lam, 5),
+        stable_limits.stable_tensor([lam, mu]).stable,
+        stable_limits.stable_branch(lam, "so").stable,
+    ]
+    for dec in results:
+        dec.terms[(9,)] = 7
+        dec._terms.clear()  # even the private dict is a copy
+    assert _lr_table(lam, mu) == lr_before
+    assert branching._littlewood_terms(lam, branching._even_row_partitions) == lw_before
