@@ -21,15 +21,15 @@ contracted terms, since the uncontracted ones of ab and ba cancel, and
 so visit only the term pairs that contract; on them rest the relation
 checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  The
 oscillator generators are built once per rank and shared, so each
-operator's index serves every later query.  Borel covariance trials run
-on doubled integer matrices, which decide the same equality as the
-rational ones, and expand the substitution on plain ints rather than
-through ``FockPoly.substitute`` (see ``check_covariance``).
+operator's index serves every later query.  Borel covariance is decided,
+not sampled: a degree condition for the torus and the polarization
+operators for the unipotent radical (see ``check_covariance``).  The
+harmonic projection lowers with the integer Laplacian and divides each
+component once, when it is emitted.
 """
 
 from __future__ import annotations
 
-import random
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -693,12 +693,21 @@ def radial_square(k: int) -> FockPoly:
     )
 
 
+@lru_cache(maxsize=_GENERATOR_MEMO)
+def _laplacian(k: int) -> WeylOp:
+    """The integer Laplacian sum_i d_i^2 = 2 X- on one row of k variables."""
+    return 2 * sl2_generators(k)[2]
+
+
 def harmonic_project_rank1(f: FockPoly, k: int):
     """Split a homogeneous f into sum_j p0^j h_j with every h_j harmonic.
 
     Works top down: the deepest component is isolated by iterating the
-    lowering operator, whose action on p0^j h has the closed-form
-    constant j*(k + 2*(r + j - 1)); the result is exact.
+    Laplacian, whose j-th power sends p0^j h (h harmonic of degree r) to
+    const * h with const = prod_{t<=j} 2t*(k + 2*(r + t - 1)).  The
+    remainder is kept times a running integer scale, so integer inputs
+    stay on ints until each component is divided once, when it is
+    emitted; the result is exact.
     """
     shape = FockShape(1, k)
     if f.shape != shape:
@@ -711,22 +720,27 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     if m < 2:
         # Already harmonic; this also serves k = 0, which has no ladder triple.
         return [(0, f)]
-    _, _, lower = sl2_generators(k)
+    laplacian = _laplacian(k)
     p0 = radial_square(k)
+    # The remainder still to split is work / scale.
     work = f
+    scale = 1
     components = []
     for j in range(m // 2, -1, -1):
         r = m - 2 * j
         g = work
         for _ in range(j):
-            g = lower.apply(g)
+            g = laplacian.apply(g)
+        if g.is_zero():
+            continue
         const = 1
         for t in range(1, j + 1):
-            const *= t * (k + 2 * (r + t - 1))
-        h = g * Fraction(1, const)
-        if not h.is_zero():
-            components.append((j, h))
-        work = work - (p0 ** j) * h
+            const *= 2 * t * (k + 2 * (r + t - 1))
+        scale *= const
+        # The one division of each term, part by part.
+        h = {e: _gauss(Fraction(c.re, scale), Fraction(c.im, scale)) for e, c in g.terms.items()}
+        components.append((j, FockPoly._new(shape, h)))
+        work = const * work - (p0 ** j) * g
     if not work.is_zero():
         raise ReconstructionFailed("harmonic components do not rebuild the input")
     return sorted(components)
@@ -862,33 +876,26 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
     raise BadSignature(f"unknown highest weight vector kind {kind!r}")
 
 
-# Twice the Borel entries (1, 2, 1/2) and (0, 1, -1, 2, -2, 1/2, -1/2),
-# in the same order, so a seed draws the same matrices scaled by 2.
-DIAG_ENTRIES = (2, 4, 1)
-OFF_DIAG_ENTRIES = (0, 2, -2, 4, -4, 1, -1)
-
-
 def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: int = 0) -> bool:
-    """Test Borel covariance of f by exact random substitution.
+    """Decide Borel covariance of f with the polarization operators.
 
-    side "left_lower" multiplies by random lower-triangular matrices on
-    the row index; side "right_upper" by upper-triangular matrices on the
-    column index.  Exact equality with the character factor must hold on
-    every trial; a False return is a result, not an error.  Negative
-    exponents raise BadSignature and fewer than one trial ValueError,
-    before any trial runs.
+    side "left_lower" asks whether f(B Z) = F f for every invertible
+    lower-triangular B acting on the row index (W is fixed); side
+    "right_upper" whether f(Z B) = F f, W too moving as W B, for every
+    upper-triangular B on the column index.  F is the product of the
+    diagonal entries of B to the exponents.  A False return is a result,
+    not an error.  Negative exponents raise BadSignature and fewer than
+    one trial ValueError; `trials` and `seed` are validated but no longer
+    change the verdict.
 
-    Each trial draws B with entries in {0, +-1/2, +-1, +-2} (diagonal
-    {1/2, 1, 2}) but substitutes the integer matrix 2B, so the arithmetic
-    stays in integers.  A linear substitution keeps each term's degree,
-    so f(B Z) = F f, with F the product of the diagonal entries of B to
-    the exponents, holds exactly when f(2B Z) has coefficient
-    c * F * 2^|e| at each term c * z^e of f, |e| counting only the
-    substituted variables (W is fixed on the left); both sides are
-    compared times 2^|exponents|, which makes F an integer.  f(2B Z) is
-    expanded on plain ints, monomials keyed by their sorted variable
-    indices with repeats, the real and imaginary parts of each
-    coefficient scaling the expansion of its monomial separately.
+    The Borel group is connected and f is a polynomial, so covariance is
+    its infinitesimal form (R. Howe, "Remarks on classical invariant
+    theory", Trans. AMS 313 (1989) 539-570): the torus gives the degree
+    condition, every term of degree e_a in Z-row a (left) or e_j in
+    column j over the Z and W rows (right); the unipotent radical gives
+    L_ab f = 0 for every a > b, with L_ab = sum_i z_bi d/dz_ai on rows or
+    sum_r z_rb d/dz_ra on columns.  L_ab f is summed on the real and
+    imaginary parts of the coefficients apart, so no GaussRat is built.
     """
     if f.is_zero():
         raise ValueError("covariance of the zero polynomial is vacuous")
@@ -904,87 +911,40 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     if trials < 1:
         raise ValueError(f"covariance needs at least one trial, got trials={trials}")
     exponents = exponents + (0,) * (size - len(exponents))
-    left = side == "left_lower"
-    # Left substitutions fix W, so only the degree in Z scales.
-    moved = shape.rows * shape.cols if left else shape.nvars
-    terms = [(_index_key(e), c) for e, c in f.terms.items()]
-    degrees = [sum(e[:moved]) for e in f.terms]
-    keys = {key for key, _ in terms}
-    used = {i for key in keys for i in key}
-    rng = random.Random(seed)
-    for _ in range(trials):
-        b = [[0] * size for _ in range(size)]
-        for i in range(size):
-            b[i][i] = rng.choice(DIAG_ENTRIES)
-            for j in range(i):
-                if left:
-                    b[i][j] = rng.choice(OFF_DIAG_ENTRIES)
-                else:
-                    b[j][i] = rng.choice(OFF_DIAG_ENTRIES)
-        factor = 1
-        for i in range(size):
-            factor *= b[i][i] ** exponents[i]
-        scale = 1 << sum(exponents)
-        re_part, im_part = _int_expand(terms, _int_images(shape, b, left, used))
-        image_keys = {key for key, x in re_part.items() if x}
-        image_keys.update(key for key, x in im_part.items() if x)
-        if image_keys != keys:
-            return False
-        for (key, c), degree in zip(terms, degrees):
-            target = factor << degree
-            if (
-                re_part.get(key, 0) * scale != c.re * target
-                or im_part.get(key, 0) * scale != c.im * target
-            ):
+    cols = shape.cols
+    # groups[a] lists the variables of index a: Z-row a, or column a over Z and W.
+    if side == "left_lower":
+        groups = [range(a * cols, (a + 1) * cols) for a in range(size)]
+    else:
+        groups = [range(a, shape.nvars, cols) for a in range(size)]
+    for e in f.terms:
+        for group, x in zip(groups, exponents):
+            if sum(e[v] for v in group) != x:
+                return False
+    for a in range(1, size):
+        for b in range(a):
+            if not _annihilates(f, list(zip(groups[a], groups[b]))):
                 return False
     return True
 
 
-def _index_key(e):
-    """The sorted variable indices of the monomial with exponents e, repeats included."""
-    return tuple(i for i, x in _items(e) for _ in range(x))
-
-
-def _int_images(shape: FockShape, m, left: bool, variables) -> dict:
-    """Images of the given variables under Z -> M Z (left; W is fixed) or
-    Z -> Z M and W -> W M (right), for a square int matrix M: each variable
-    maps to the (variable, entry) pairs of its image."""
-    cols = shape.cols
-    images = {}
-    for v in variables:
-        row, i = divmod(v, cols)
-        if not left:
-            images[v] = [(row * cols + t, m[t][i]) for t in range(cols) if m[t][i]]
-        elif row < shape.rows:
-            images[v] = [(t * cols + i, x) for t, x in enumerate(m[row]) if x]
-        else:
-            images[v] = [(v, 1)]
-    return images
-
-
-def _int_expand(terms, images):
-    """Expand sum c * prod_v images[v] over the (index key, c) terms.
-
-    The products run on plain ints, keyed like _index_key; the real and
-    imaginary parts of each c then scale the expansion of its monomial
-    into two dicts, returned as (re, im), which may hold zero entries.
-    """
+def _annihilates(f: FockPoly, moves) -> bool:
+    """Whether sum z_v d/dz_u over the (u, v) moves kills f."""
     re_part: dict = {}
     im_part: dict = {}
-    for key, c in terms:
-        poly = {(): 1}
-        for v in key:
-            nxt: dict = {}
-            for mono, x in poly.items():
-                for w, y in images[v]:
-                    mono_w = tuple(sorted(mono + (w,)))
-                    nxt[mono_w] = nxt.get(mono_w, 0) + x * y
-            poly = nxt
-        for part, value in ((re_part, c.re), (im_part, c.im)):
-            if value:
-                for mono, x in poly.items():
-                    part[mono] = part.get(mono, 0) + value * x
-    return re_part, im_part
+    for e, c in f.terms.items():
+        for u, v in moves:
+            x = e[u]
+            if x:
+                new = list(e)
+                new[u] -= 1
+                new[v] += 1
+                key = tuple(new)
+                if c.re:
+                    re_part[key] = re_part.get(key, 0) + c.re * x
+                if c.im:
+                    im_part[key] = im_part.get(key, 0) + c.im * x
+    return not any(re_part.values()) and not any(im_part.values())
 
 
 def translate(f: FockPoly, g, side: str = "right") -> FockPoly:

@@ -3,8 +3,10 @@
 Nothing here shares code with the package: LR coefficients come from
 enumerating every raw filling of the skew diagram, dimensions from a
 standalone tableau counter, quadratic operator identities from
-ad-matrices read off the term maps and Borel covariance from rational
-substitution on plain dicts, so agreement is meaningful.
+ad-matrices read off the term maps, Borel covariance from rational and
+from doubled integer substitution on plain dicts and the harmonic
+projection from lowering with X- on Fractions, so agreement is
+meaningful.
 """
 
 import random
@@ -347,3 +349,155 @@ def covariance_by_fraction_trials(f, side, exponents, trials=8, seed=0):
         if substituted != {e: (factor * c_re, factor * c_im) for e, (c_re, c_im) in terms.items()}:
             return False
     return True
+
+
+# The same trials on the doubled matrix 2B, whose entries are integers, so
+# the substitution expands on plain ints: f(B Z) = F f holds exactly when
+# f(2B Z) has coefficient c * F * 2^|e| at each term c * z^e of f, |e|
+# counting only the substituted variables (W is fixed on the left); both
+# sides are compared times 2^|exponents|, which makes F an integer.
+# Monomials are keyed by their sorted variable indices with repeats.
+
+# Twice BOREL_DIAG and BOREL_OFF_DIAG, in the same order, so a seed draws
+# the same matrices scaled by 2.
+DIAG_ENTRIES = (2, 4, 1)
+OFF_DIAG_ENTRIES = (0, 2, -2, 4, -4, 1, -1)
+
+
+def index_key(e):
+    """The sorted variable indices of the monomial with exponents e, repeats included."""
+    return tuple(i for i, x in enumerate(e) for _ in range(x))
+
+
+def int_images(shape, m, left, variables):
+    """Images of the given variables under Z -> M Z (left; W is fixed) or
+    Z -> Z M and W -> W M (right), for a square int matrix M: each variable
+    maps to the (variable, entry) pairs of its image."""
+    cols = shape.cols
+    images = {}
+    for v in variables:
+        row, i = divmod(v, cols)
+        if not left:
+            images[v] = [(row * cols + t, m[t][i]) for t in range(cols) if m[t][i]]
+        elif row < shape.rows:
+            images[v] = [(t * cols + i, x) for t, x in enumerate(m[row]) if x]
+        else:
+            images[v] = [(v, 1)]
+    return images
+
+
+def int_expand(terms, images):
+    """Expand sum c * prod_v images[v] over the (index key, c) terms.
+
+    The products run on plain ints; the real and imaginary parts of each
+    c then scale the expansion of its monomial into two dicts, returned
+    as (re, im), which may hold zero entries.
+    """
+    re_part = {}
+    im_part = {}
+    for key, c in terms:
+        poly = {(): 1}
+        for v in key:
+            nxt = {}
+            for mono, x in poly.items():
+                for w, y in images[v]:
+                    mono_w = tuple(sorted(mono + (w,)))
+                    nxt[mono_w] = nxt.get(mono_w, 0) + x * y
+            poly = nxt
+        for part, value in ((re_part, c.re), (im_part, c.im)):
+            if value:
+                for mono, x in poly.items():
+                    part[mono] = part.get(mono, 0) + value * x
+    return re_part, im_part
+
+
+def covariance_by_integer_trials(f, side, exponents, trials=8, seed=0):
+    """covariance_by_fraction_trials on the doubled matrices 2B, on ints."""
+    shape = f.shape
+    left = side == "left_lower"
+    size = shape.rows if left else shape.cols
+    exponents = tuple(exponents) + (0,) * (size - len(exponents))
+    moved = shape.rows * shape.cols if left else shape.nvars
+    terms = [(index_key(e), c) for e, c in f.terms.items()]
+    degrees = [sum(e[:moved]) for e in f.terms]
+    keys = {key for key, _ in terms}
+    used = {i for key in keys for i in key}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        b = [[0] * size for _ in range(size)]
+        for i in range(size):
+            b[i][i] = rng.choice(DIAG_ENTRIES)
+            for j in range(i):
+                if left:
+                    b[i][j] = rng.choice(OFF_DIAG_ENTRIES)
+                else:
+                    b[j][i] = rng.choice(OFF_DIAG_ENTRIES)
+        factor = 1
+        for i in range(size):
+            factor *= b[i][i] ** exponents[i]
+        scale = 1 << sum(exponents)
+        re_part, im_part = int_expand(terms, int_images(shape, b, left, used))
+        image_keys = {key for key, x in re_part.items() if x}
+        image_keys.update(key for key, x in im_part.items() if x)
+        if image_keys != keys:
+            return False
+        for (key, c), degree in zip(terms, degrees):
+            target = factor << degree
+            if (
+                re_part.get(key, 0) * scale != c.re * target
+                or im_part.get(key, 0) * scale != c.im * target
+            ):
+                return False
+    return True
+
+
+# The harmonic projection on one row of k variables, top down: X- =
+# (1/2) sum d_i^2 sends p0^j h (h harmonic of degree r) to
+# j*(k + 2*(r + j - 1)) p0^(j-1) h, so j lowerings isolate the deepest
+# component, which is divided out and subtracted before the next.  Plain
+# dicts of (Fraction, Fraction) pairs; only the term map of f is read.
+
+
+def _half_laplacian(poly):
+    out = {}
+    for e, c in poly.items():
+        for i, x in enumerate(e):
+            if x >= 2:
+                key = e[:i] + (x - 2,) + e[i + 1:]
+                _accumulate(out, key, gauss_mul(gauss_ref(Fraction(x * (x - 1), 2)), c))
+    return out
+
+
+def harmonic_by_fraction_lowering(f, k):
+    """[(j, h_j)] with f = sum_j p0^j h_j, each h_j a {exponents: (re, im)} dict.
+
+    f must be homogeneous and nonzero components are listed by j.
+    """
+    work = {e: gauss_ref(c.re, c.im) for e, c in f.terms.items()}
+    if not work:
+        return []
+    m = sum(next(iter(work)))
+    if m < 2:
+        return [(0, work)]
+    p0 = {tuple(2 * (i == t) for i in range(k)): 1 for t in range(k)}
+    components = []
+    for j in range(m // 2, -1, -1):
+        r = m - 2 * j
+        g = work
+        for _ in range(j):
+            g = _half_laplacian(g)
+        const = 1
+        for t in range(1, j + 1):
+            const *= t * (k + 2 * (r + t - 1))
+        h = {e: gauss_div(c, gauss_ref(const)) for e, c in g.items()}
+        if h:
+            components.append((j, h))
+        p0j = {(0,) * k: 1}
+        for _ in range(j):
+            p0j = _real_product(p0j, p0)
+        for e1, x in p0j.items():
+            for e2, c in h.items():
+                _accumulate(work, tuple(map(add, e1, e2)), gauss_mul(gauss_ref(-x), c))
+    if work:
+        raise ValueError("harmonic components do not rebuild the input")
+    return components[::-1]

@@ -4,7 +4,7 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isotypic.errors import (
     BadSignature,
@@ -38,16 +38,15 @@ from isotypic.fock import (
     weyl_commutator,
     z_var,
     w_var,
-    _index_key,
-    _int_expand,
-    _int_images,
     _linear_images,
     _matrix_inverse,
 )
+from isotypic.terms import leibniz_det
 from oracles import (
     ZERO,
     ad_matrix,
     covariance_by_fraction_trials,
+    covariance_by_integer_trials,
     gauss_add,
     gauss_conj,
     gauss_div,
@@ -56,6 +55,10 @@ from oracles import (
     gauss_ref,
     gauss_str,
     gauss_sub,
+    harmonic_by_fraction_lowering,
+    index_key,
+    int_expand,
+    int_images,
     quadratic_relation_holds,
 )
 
@@ -392,6 +395,100 @@ def test_harmonic_projection_random_reconstruction():
                 assert h.is_homogeneous() and h.degree() == m - 2 * j
                 rebuilt = rebuilt + p0 ** j * h
             assert rebuilt == f
+
+
+def _plain_components(comps):
+    return [(j, {e: gauss_ref(c.re, c.im) for e, c in h.terms.items()}) for j, h in comps]
+
+
+def _row_poly(rng, k, m, part):
+    """A homogeneous degree-m polynomial on one row of k variables, parts drawn by part(rng)."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * k
+        for _ in range(m):
+            e[rng.randrange(k)] += 1
+        terms[tuple(e)] = GaussRat(part(rng), part(rng))
+    return FockPoly(FockShape(1, k), terms)
+
+
+def _harmonic_grid():
+    """Inputs for k = 1..4 and degree 0..5: Gaussian and fractional
+    coefficients, and inputs most of whose components vanish."""
+    rng = random.Random(23)
+    gaussian = lambda r: r.randint(-3, 3)
+    fractional = lambda r: Fraction(r.randint(-5, 5), r.randint(1, 6))
+    for k, m in product(range(1, 5), range(6)):
+        shape = FockShape(1, k)
+        yield k, m, _row_poly(rng, k, m, gaussian)
+        yield k, m, _row_poly(rng, k, m, fractional)
+        # Only the component j = m // 2 is nonzero.
+        yield k, m, GaussRat(2, -1) * radial_square(k) ** (m // 2) * z_var(shape, 1, 1) ** (m % 2)
+        if k >= 2:
+            # Only j = 0, then only j = 1, is nonzero.
+            yield k, m, Fraction(-3, 4) * hwv("so_rank1", m, 1, k)
+            if m >= 2:
+                yield k, m, radial_square(k) * hwv("so_rank1", m - 2, 1, k) * GaussRat(Fraction(1, 3), 1)
+
+
+def test_harmonic_projection_matches_fraction_lowering_on_a_grid():
+    vanished = 0
+    for k, m, f in _harmonic_grid():
+        comps = harmonic_project_rank1(f, k)
+        assert _plain_components(comps) == harmonic_by_fraction_lowering(f, k), (k, render_poly(f))
+        vanished += len(comps) < m // 2 + 1
+    assert vanished > 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2 ** 16),
+            st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5)),
+            st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_harmonic_projection_matches_fraction_lowering(k, m, draws):
+    terms = {}
+    for picks, re, im in draws:
+        e = [0] * k
+        for _ in range(m):
+            picks, i = divmod(picks, k)
+            e[i] += 1
+        terms[tuple(e)] = GaussRat(re, im)
+    f = FockPoly(FockShape(1, k), terms)
+    assert _plain_components(harmonic_project_rank1(f, k)) == harmonic_by_fraction_lowering(f, k)
+
+
+def test_harmonic_projection_divides_once_per_output_term(monkeypatch):
+    """On integer inputs the lowering loop stays on ints: no Fraction product
+    at all, and the only Fractions built are the two parts of each output
+    term, by its one closing division."""
+    products, built = [], []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, real=real: products.append(b) or real(a, b))
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **kw: built.append(a) or new(cls, *a, **kw)))
+    rng = random.Random(29)
+    for k, m, gaussian in product(range(1, 5), range(6), (False, True)):
+        for _ in range(3):
+            f = _row_poly(rng, k, m, lambda r: r.randint(-3, 3))
+            if not gaussian:
+                f = FockPoly(f.shape, {e: c.re for e, c in f.terms.items()})
+            before = len(built)
+            comps = harmonic_project_rank1(f, k)
+            terms = sum(len(h.terms) for _, h in comps)
+            assert len(built) - before <= 2 * terms, (k, render_poly(f))
+    assert products == []
+    # The closing divisions were counted.
+    assert built
 
 
 def test_gl_hwv_and_covariance():
@@ -853,14 +950,14 @@ def _substitution_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_substitution_cases())
 def test_integer_expansion_matches_substitute(case):
-    """The int kernel of check_covariance against FockPoly.substitute."""
+    """The int kernel of the integer-trial oracle against FockPoly.substitute."""
     f, m, left = case
-    terms = [(_index_key(e), c) for e, c in f.terms.items()]
+    terms = [(index_key(e), c) for e, c in f.terms.items()]
     used = {i for key, _ in terms for i in key}
-    re_part, im_part = _int_expand(terms, _int_images(f.shape, m, left, used))
+    re_part, im_part = int_expand(terms, int_images(f.shape, m, left, used))
     got = {key: GaussRat(re_part.get(key, 0), im_part.get(key, 0)) for key in re_part.keys() | im_part.keys()}
     image = f.substitute(_linear_images(f.shape, m, "left" if left else "right"))
-    assert {key: c for key, c in got.items() if c} == {_index_key(e): c for e, c in image.terms.items()}
+    assert {key: c for key, c in got.items() if c} == {index_key(e): c for e, c in image.terms.items()}
 
 
 def test_integer_covariance_trials_make_no_gaussrat_products(monkeypatch):
@@ -884,6 +981,82 @@ def test_integer_covariance_trials_make_no_gaussrat_products(monkeypatch):
             assert check_covariance(vec, side, exps, seed=4)
             assert not check_covariance(vec, side, wrong, seed=4)
     assert calls == []
+
+
+def test_permanent_is_not_covariant_for_any_seed():
+    """A false True of random trials: the permanent passes some of them."""
+    shape = FockShape(2, 2)
+    perm = z_var(shape, 1, 1) * z_var(shape, 2, 2) + z_var(shape, 1, 2) * z_var(shape, 2, 1)
+    # Times i, the polarization image is purely imaginary.
+    for f in (perm, I_UNIT * perm):
+        for side, trials, seed in product(("left_lower", "right_upper"), (1, 2, 8), range(200)):
+            assert check_covariance(f, side, (1, 1), trials=trials, seed=seed) is False
+
+
+@st.composite
+def _minor_products(draw):
+    """A sum of products of minors, covariant by construction, with its side and exponents.
+
+    Left: minors on Z-rows 1..s and any s columns, times any W monomial,
+    which the left side fixes.  Right: minors on columns 1..s and any s
+    rows of Z stacked over W.  Row (column) a gets the number of minors
+    of size >= a.
+    """
+    shape = FockShape(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    left = draw(st.booleans())
+    size = shape.rows if left else shape.cols
+    other = shape.cols if left else shape.rows + shape.wrows
+    sizes = [s for s in range(1, min(size, other) + 1) for _ in range(draw(st.integers(0, 2 if s == 1 else 1)))]
+    exponents = tuple(sum(s >= a for s in sizes) for a in range(1, size + 1))
+
+    def var(a, b):
+        row, col = (a, b) if left else (b, a)
+        return FockPoly.variable(shape, row * shape.cols + col)
+
+    part = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    f = FockPoly.zero(shape)
+    for _ in range(draw(st.integers(1, 2))):
+        term = FockPoly.constant(shape, GaussRat(draw(part), draw(part)))
+        for s in sizes:
+            picks = draw(st.lists(st.integers(0, other - 1), min_size=s, max_size=s, unique=True))
+            entries = [[var(a, t) for t in picks] for a in range(s)]
+            term = term * leibniz_det(entries, FockPoly.constant(shape, 1))
+        if left:
+            for _ in range(draw(st.integers(0, 2 * shape.wrows))):
+                term = term * w_var(shape, draw(st.integers(1, shape.wrows)), draw(st.integers(1, shape.cols)))
+        f = f + term
+    assume(not f.is_zero())
+    return f, "left_lower" if left else "right_upper", exponents
+
+
+@settings(max_examples=60, deadline=None)
+@given(_minor_products(), st.data())
+def test_exact_covariance_against_both_trial_oracles(case, data):
+    """Covariant by construction is decided True; after one term is
+    perturbed, a trial that fails is a witness the decision must share."""
+    f, side, exps = case
+    seed = data.draw(st.integers(0, 999))
+    assert check_covariance(f, side, exps)
+    assert covariance_by_integer_trials(f, side, exps, 2, seed)
+    assert covariance_by_fraction_trials(f, side, exps, 2, seed)
+    e = data.draw(st.sampled_from(sorted(f.terms)))
+    if data.draw(st.booleans()):
+        delta = GaussRat(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
+        assume(delta)
+        g = f + FockPoly(f.shape, {e: delta})
+    else:
+        moved = list(e)
+        src = data.draw(st.sampled_from([i for i, x in enumerate(e) if x] or [0]))
+        dst = data.draw(st.integers(0, f.shape.nvars - 1))
+        if moved[src]:
+            moved[src] -= 1
+            moved[dst] += 1
+        g = f + FockPoly(f.shape, {tuple(moved): f.terms[e]}) - FockPoly(f.shape, {e: f.terms[e]})
+    assume(not g.is_zero())
+    by_ints = covariance_by_integer_trials(g, side, exps, 2, seed)
+    assert by_ints == covariance_by_fraction_trials(g, side, exps, 2, seed)
+    if not by_ints:
+        assert check_covariance(g, side, exps, seed=seed) is False
 
 
 def test_generators_are_built_once_and_handed_out_in_fresh_dicts():

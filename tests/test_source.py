@@ -31,6 +31,11 @@ def test_fock_imports_neither_the_character_oracle_nor_lr():
     assert {"characters", "lr"}.isdisjoint(names)
 
 
+def test_fock_decides_covariance_without_sampling():
+    """Borel covariance is a decision, not a sample: fock draws nothing at random."""
+    assert not hasattr(fock, "random")
+
+
 def test_traced_benchmark_targets_still_resolve():
     """Every function the layer tracer rebinds must exist where it looks."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -57,6 +62,7 @@ def test_traced_benchmark_targets_still_resolve():
         characters.schur_poly,
         characters.schur_laurent_on_so_torus,
         characters.so_character,
+        fock._laplacian,
         lr._lr_table,
     ]
     assert all(memo.cache_parameters()["maxsize"] is not None for memo in memos)
