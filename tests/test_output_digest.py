@@ -1,13 +1,17 @@
-"""Pinned digest of the rendered outputs of a fixed query grid.
+"""Pinned digests of the rendered outputs of fixed query grids.
 
 Every line renders one call (its result, or its exception class and
-message), and the sha256 of all lines is pinned.  A change that keeps the
+message), and the sha256 of all lines is pinned.  The second grid runs
+the command line over every subcommand, human and ``--json``, and pins
+each run's exit code, stdout and stderr.  A change that keeps the
 digest keeps every answer, every ordering and every error on the grid
 byte-identical; a change that means to alter an output must update the
 digest and say why.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 from isotypic.branching import (
     diagonal_branch,
@@ -16,6 +20,7 @@ from isotypic.branching import (
     restrict_gl_to_sp,
 )
 from isotypic.characters import dim
+from isotypic.cli import run
 from isotypic.errors import IsotypicError
 from isotypic.lr import tensor_mixed, tensor_multi
 from isotypic.signatures import GroupFamily, iter_partitions
@@ -100,3 +105,94 @@ def test_rendered_outputs_match_pinned_digest():
     lines = grid_lines()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (OUTPUT_LINES, OUTPUT_DIGEST)
+
+
+CLI_LINES = 188
+CLI_DIGEST = "4e37f8de5a530d55bd8e852c300dfeb0ab1b158cd895c2069e5d204b315d3d8a"
+
+_SEEDS = ((), ("--seed", "7"), ("--seed", "-3"))
+
+CLI_GRID = [
+    [],
+    ["no-such-command"],
+    ["fock"],
+    ["tensor", "--rank", "2", "1", "2"],
+    ["tensor", "--rank", "3", "2,1", "1,1"],
+    ["tensor", "--stable", "1", "1"],
+    ["tensor", "--stable", "2,1", "1"],
+    ["tensor", "--rank", "1", "1,1"],
+    ["tensor", "--rank", "-2", "0"],
+    ["tensor", "1"],
+    ["tensor", "--rank", "2", "junk"],
+    ["branch", "--to", "so", "--rank", "5", "3"],
+    ["branch", "--to", "sp", "--rank", "4", "2,1"],
+    ["branch", "--to", "so", "--stable", "2,1"],
+    ["branch", "--to", "sp", "--stable", "2"],
+    ["branch", "--to", "so", "--rank", "4", "2,2"],
+    ["branch", "--to", "nowhere", "--rank", "5", "1"],
+    ["reciprocity", "--n", "1", "--k", "3", "3"],
+    ["reciprocity", "--n", "2", "--k", "4", "2,1"],
+    ["reciprocity", "--n", "0", "--k", "3", "1"],
+    ["identity-mult", "--mu", "2,1", "1", "1", "1"],
+    ["identity-mult", "--mu", "1", "1", "1"],
+    ["dim", "--group", "u", "--rank", "3", "2,1"],
+    ["dim", "--group", "so", "--rank", "5", "2,1"],
+    ["dim", "--group", "sp", "--rank", "4", "2,1"],
+    ["dim", "--group", "sp", "--rank", "3", "1"],
+    ["dim", "--group", "u", "--rank", "0", "1"],
+    ["dim", "--group", "u", "--rank", "2", "junk"],
+    *(["fock", "verify", "sl2", "--k", str(k)] for k in (1, 2, 4)),
+    *(["fock", "verify", "sp2n", "--n", str(n), "--k", str(k)] for n in (1, 2) for k in (1, 3)),
+    *(["fock", "verify", "supq", "--p", str(p), "--q", str(q), "--k", "3"]
+      for p in (1, 2) for q in (1, 2)),
+    ["fock", "verify", "sp2n", "--n", "0", "--k", "3"],
+    ["fock", "verify", "sl2", "--k", "-1"],
+    ["fock", "verify", "nope", "--k", "2"],
+    *(["fock", "hwv", "--kind", *rest, *seed] for rest in (
+        ["gl", "--sig", "2,1", "--n", "2", "--k", "2"],
+        ["gl", "--sig", "1", "--k", "3"],
+        ["gl", "--sig", "3,1,1", "--n", "2", "--k", "3"],
+        ["so_rank1", "--sig", "2", "--k", "3"],
+        ["so_rank1", "--sig", "0", "--k", "2"],
+        ["so_rank1", "--sig", "1", "--k", "1"],
+        ["so_general", "--sig", "2,1", "--n", "2", "--k", "5"],
+        ["so_general", "--sig", "1", "--k", "2"],
+        ["so_general", "--sig", "2,1", "--n", "2", "--k", "3"],
+        ["upq", "--sig", "2,0,0,-1", "--k", "4"],
+        ["upq", "--sig", "1,-1", "--p", "1", "--q", "1", "--k", "2"],
+        ["upq", "--sig", "1,0,-1", "--p", "2", "--q", "1", "--k", "3"],
+        ["upq", "--sig", "1,-1", "--k", "3"],
+        ["upq", "--sig", "1,2", "--k", "2"],
+    ) for seed in _SEEDS),
+    ["fock", "hwv", "--kind", "gl", "--sig", "1", "--k", "2", "--seed", "x"],
+    ["fock", "hwv", "--kind", "nope", "--sig", "1", "--k", "2"],
+    ["fock", "pair", "Z[1][1]^2", "Z[1][1]^2"],
+    ["fock", "pair", "Z[1][1] + i*W[1][2]", "Z[1][1] - 1/2*i*W[1][2]"],
+    ["fock", "pair", "Z[2][1]*Z[1][1]", "Z[1][2]"],
+    ["fock", "pair", "1/0*Z[1][1]", "1"],
+    ["fock", "pair", "", "1"],
+    ["fock", "pair", "Z[0][1]", "1"],
+    ["fock", "pair", "+", "1"],
+    ["fock", "pair", "Z[1][1]"],
+]
+
+
+def cli_lines():
+    """One line per (argv, output mode): the exit code, stdout and stderr."""
+    lines = []
+    for argv in CLI_GRID:
+        for mode in ((), ("--json",)):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([*argv, *mode])
+            lines.append(f"{[*argv, *mode]!r} -> {code} {out.getvalue()!r} {err.getvalue()!r}")
+    return lines
+
+
+def test_cli_outputs_match_pinned_digest(monkeypatch):
+    # Fixed width for argparse's usage text; no cache, so every run computes.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ISOTYPIC_CACHE", raising=False)
+    lines = cli_lines()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (CLI_LINES, CLI_DIGEST)
