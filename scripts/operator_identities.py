@@ -17,7 +17,6 @@ from isotypic import (
     verify_sl2,
     verify_sp2n,
     verify_supq,
-    weyl_apply,
     z_var,
 )
 from isotypic.fock import radial_square
@@ -44,8 +43,8 @@ def main():
     for j, h in harmonic_project_rank1(f, k):
         degree = h.degree() or 0
         eig = Fraction(k, 2) + degree + 2 * j
-        assert weyl_apply(lower, h).is_zero()
-        assert weyl_apply(e_op, p0 ** j * h) == eig * (p0 ** j * h)
+        assert lower.apply(h).is_zero()
+        assert e_op.apply(p0 ** j * h) == eig * (p0 ** j * h)
         print(f"  j={j}  degree {degree}  number-eigenvalue {eig}:  {render_poly(h)}")
         rebuilt = rebuilt + p0 ** j * h
     assert rebuilt == f

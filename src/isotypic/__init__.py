@@ -42,7 +42,6 @@ from .fock import (
     verify_sp2n,
     verify_supq,
     w_var,
-    weyl_apply,
     weyl_commutator,
     z_var,
 )

@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--cache", help="cache file (default: $ISOTYPIC_CACHE)")
-    common.add_argument("--seed", type=int, default=0, help="seed for covariance trials")
+    common.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility and ignored"
+    )
 
     parser = argparse.ArgumentParser(
         prog="isotypic",
@@ -107,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--stable", action="store_true")
     mode.add_argument("--rank", type=int)
     p_tensor.add_argument("sigs", nargs="+", metavar="SIG")
+    p_tensor.set_defaults(executor=_tensor_result)
 
     p_branch = sub.add_parser("branch", parents=[common], help="restrict U(k) to SO or Sp")
     p_branch.add_argument("--to", required=True, choices=["so", "sp"])
@@ -114,11 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--stable", action="store_true")
     mode.add_argument("--rank", type=int)
     p_branch.add_argument("sig", metavar="SIG")
+    p_branch.set_defaults(executor=_branch_result)
 
     p_rec = sub.add_parser("reciprocity", parents=[common], help="two-sided multiplicity check")
     p_rec.add_argument("--n", type=int, required=True)
     p_rec.add_argument("--k", type=int, required=True)
     p_rec.add_argument("sig", metavar="SIG")
+    p_rec.set_defaults(executor=_reciprocity_result)
 
     p_idm = sub.add_parser(
         "identity-mult", parents=[common],
@@ -126,11 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_idm.add_argument("--mu", required=True, metavar="SIG")
     p_idm.add_argument("sigs", nargs="+", metavar="SIG")
+    p_idm.set_defaults(executor=_identity_mult_result)
 
     p_dim = sub.add_parser("dim", parents=[common], help="irreducible dimension")
     p_dim.add_argument("--group", required=True, choices=["u", "so", "sp"])
     p_dim.add_argument("--rank", type=int, required=True)
     p_dim.add_argument("sig", metavar="SIG")
+    p_dim.set_defaults(executor=_dim_result)
 
     p_fock = sub.add_parser("fock", help="symbolic Fock-space commands")
     fock_sub = p_fock.add_subparsers(dest="fock_command", required=True)
@@ -143,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=positive_int, required=True)
     p_verify.add_argument("--p", type=positive_int, default=1)
     p_verify.add_argument("--q", type=positive_int, default=1)
+    p_verify.set_defaults(executor=_fock_verify_result)
 
     p_hwv = fock_sub.add_parser(
         "hwv", parents=[common], help="construct and verify a highest weight vector"
@@ -153,11 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_hwv.add_argument("--k", type=positive_int, required=True)
     p_hwv.add_argument("--p", type=positive_int, default=1)
     p_hwv.add_argument("--q", type=positive_int, default=1)
+    p_hwv.set_defaults(executor=_fock_hwv_result)
 
     p_pair = fock_sub.add_parser(
         "pair", parents=[common], help="Fock pairing of two polynomial expressions"
     )
     p_pair.add_argument("exprs", nargs=2, metavar="EXPR")
+    p_pair.set_defaults(executor=_fock_pair_result)
 
     return parser
 
@@ -239,36 +249,23 @@ def _dim_result(args):
     return f"dim|{args.group}|rank={args.rank}|{render(sig)}", compute
 
 
+# Each verify target: its relation check and the parameters it takes, in
+# the order of the call, the query string and the JSON keys.
+_VERIFY_TARGETS = {
+    "sl2": (verify_sl2, ("k",)),
+    "sp2n": (verify_sp2n, ("n", "k")),
+    "supq": (verify_supq, ("p", "q", "k")),
+}
+
+
 def _fock_verify_result(args):
-    if args.target == "sl2":
-        query = f"fock-verify|sl2|k={args.k}"
+    verify, names = _VERIFY_TARGETS[args.target]
+    params = {name: getattr(args, name) for name in names}
+    query = "|".join(["fock-verify", args.target, *(f"{n}={v}" for n, v in params.items())])
 
-        def compute():
-            checked, holds = verify_sl2(args.k)
-            return {
-                "target": "sl2", "k": args.k,
-                "relations_checked": checked, "holds": holds,
-            }
-
-    elif args.target == "sp2n":
-        query = f"fock-verify|sp2n|n={args.n}|k={args.k}"
-
-        def compute():
-            checked, holds = verify_sp2n(args.n, args.k)
-            return {
-                "target": "sp2n", "n": args.n, "k": args.k,
-                "relations_checked": checked, "holds": holds,
-            }
-
-    else:
-        query = f"fock-verify|supq|p={args.p}|q={args.q}|k={args.k}"
-
-        def compute():
-            checked, holds = verify_supq(args.p, args.q, args.k)
-            return {
-                "target": "supq", "p": args.p, "q": args.q, "k": args.k,
-                "relations_checked": checked, "holds": holds,
-            }
+    def compute():
+        checked, holds = verify(*params.values())
+        return {"target": args.target, **params, "relations_checked": checked, "holds": holds}
 
     return query, compute
 
@@ -282,7 +279,7 @@ def _fock_hwv_result(args):
             raise IsotypicError(
                 f"mixed signature must have exactly k={args.k} parts"
             )
-        query = f"fock-hwv|upq|p={p}|q={q}|k={args.k}|{render(sig)}|seed={args.seed}"
+        query = f"fock-hwv|upq|p={p}|q={q}|k={args.k}|{render(sig)}"
 
         def compute():
             nu_sig = tuple(x for x in sig if x > 0)
@@ -299,14 +296,14 @@ def _fock_hwv_result(args):
 
         return query, compute
     sig = parse(args.sig)
-    query = f"fock-hwv|{kind}|n={args.n}|k={args.k}|{render(sig)}|seed={args.seed}"
+    query = f"fock-hwv|{kind}|n={args.n}|k={args.k}|{render(sig)}"
 
     def compute():
         vector = hwv(kind, sig, args.n, args.k)
         if kind == "gl":
-            verified = check_covariance(
-                vector, "left_lower", sig, seed=args.seed
-            ) and check_covariance(vector, "right_upper", sig, seed=args.seed)
+            verified = check_covariance(vector, "left_lower", sig) and check_covariance(
+                vector, "right_upper", sig
+            )
         elif kind == "so_rank1":
             _, _, lower = sl2_generators(args.k)
             verified = lower.apply(vector).is_zero()
@@ -333,15 +330,6 @@ def _fock_pair_result(args):
     first, second = _build_poly(first, shape), _build_poly(second, shape)
     query = f"fock-pair|{render_poly(first)}|{render_poly(second)}"
     return query, lambda: {"value": str(pairing(first, second))}
-
-
-_EXECUTORS = {
-    "tensor": _tensor_result,
-    "branch": _branch_result,
-    "reciprocity": _reciprocity_result,
-    "identity-mult": _identity_mult_result,
-    "dim": _dim_result,
-}
 
 
 @lru_cache(maxsize=None)
@@ -418,15 +406,7 @@ def cache_put(path: str, record: QueryRecord):
 
 
 def _execute(args) -> dict:
-    if args.command == "fock":
-        executor = {
-            "verify": _fock_verify_result,
-            "hwv": _fock_hwv_result,
-            "pair": _fock_pair_result,
-        }[args.fock_command]
-    else:
-        executor = _EXECUTORS[args.command]
-    query, compute = executor(args)
+    query, compute = args.executor(args)
     cache_path = args.cache or os.environ.get("ISOTYPIC_CACHE")
     if not cache_path:
         return compute()

@@ -20,12 +20,17 @@ re-deriving the nonzero exponents per call.  Commutators keep only
 contracted terms, since the uncontracted ones of ab and ba cancel, and
 so visit only the term pairs that contract; on them rest the relation
 checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  The
-oscillator generators are built once per rank and shared, so each
-operator's index serves every later query.  Borel covariance is decided,
-not sampled: a degree condition for the torus and the polarization
-operators for the unipotent radical (see ``check_covariance``).  The
-harmonic projection lowers with the integer Laplacian and divides each
-component once, when it is emitted.
+quadratic generators all come from one quadratic, the pairing
+q_rs = sum_i x_ri x_si of two block rows, as the operators of
+multiplication by q_rs and of q_rs(D): P_ab = -q_ab and D_ab = q_ab(D)
+of the oscillator algebra, the u(p,q) pairs across a Z row and a W row,
+and the ladder triple (E_11, -P_11/2, D_11/2) as the rank-1 case.  The
+generators are built once per rank and shared, so each operator's index
+serves every later query.  Borel covariance is decided, not sampled: a
+degree condition for the torus and the polarization operators for the
+unipotent radical (see ``check_covariance``).  The harmonic projection
+lowers with the integer Laplacian D_11 and divides each component once,
+when it is emitted.
 """
 
 from __future__ import annotations
@@ -431,10 +436,6 @@ class WeylOp(TermMap):
         return f"<WeylOp {' + '.join(bits) or '0'}>"
 
 
-def weyl_apply(op: WeylOp, f: FockPoly) -> FockPoly:
-    return op.apply(f)
-
-
 def _weyl_view(op: WeylOp):
     """op's terms as (z, d, z_items, d_items, coeff) rows, plus the rows
     bucketed by each index where z is nonzero; built on first use and kept,
@@ -505,22 +506,12 @@ _GENERATOR_MEMO = 1 << 5
 
 @lru_cache(maxsize=_GENERATOR_MEMO)
 def sl2_generators(k: int):
-    """The ladder triple (E, X+, X-) on one row of k variables, shared by every call."""
+    """The ladder triple (E, X+, X-) = (E_11, -P_11/2, D_11/2) of the rank-1
+    oscillator algebra on one row of k variables, shared by every call."""
     _require_positive("the ladder triple", k=k)
-    shape = FockShape(1, k)
-    nv = shape.nvars
-    zero = (0,) * nv
+    fam = _sp2n_family(1, k)
     half = Fraction(1, 2)
-    e_terms = {(zero, zero): GaussRat(Fraction(k, 2))}
-    for i in range(nv):
-        e_terms[(_unit(nv, i), _unit(nv, i))] = GaussRat(1)
-    xp_terms = {(_unit(nv, i, 2), zero): GaussRat(half) for i in range(nv)}
-    xm_terms = {(zero, _unit(nv, i, 2)): GaussRat(half) for i in range(nv)}
-    return (
-        WeylOp(shape, e_terms),
-        WeylOp(shape, xp_terms),
-        WeylOp(shape, xm_terms),
-    )
+    return fam["E"][(1, 1)], fam["P"][(1, 1)] * -half, fam["D"][(1, 1)] * half
 
 
 def sp2n_generators(n: int, k: int):
@@ -546,31 +537,30 @@ def _sp2n_family(n, k):
     fam = {"E": {}, "P": {}, "D": {}}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            terms: dict = {}
-            if a == b:
-                terms[(zero, zero)] = GaussRat(Fraction(k, 2))
+            terms = {(zero, zero): GaussRat(Fraction(k, 2))} if a == b else {}
             for i in range(1, k + 1):
                 key = (_unit(nv, shape.z_index(a, i)), _unit(nv, shape.z_index(b, i)))
-                terms[key] = terms.get(key, GaussRat(0)) + GaussRat(1)
+                terms[key] = GaussRat(1)
             fam["E"][(a, b)] = WeylOp(shape, terms)
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            p_terms: dict = {}
-            d_terms: dict = {}
-            for i in range(1, k + 1):
-                za = shape.z_index(a, i)
-                zb = shape.z_index(b, i)
-                mono = [0] * nv
-                mono[za] += 1
-                mono[zb] += 1
-                mono = tuple(mono)
-                p_terms[(mono, zero)] = GaussRat(-1)
-                d_terms[(zero, mono)] = GaussRat(1)
-            p_op = WeylOp(shape, p_terms)
-            d_op = WeylOp(shape, d_terms)
-            fam["P"][(a, b)] = fam["P"][(b, a)] = p_op
-            fam["D"][(a, b)] = fam["D"][(b, a)] = d_op
+            quad = _row_pairing(shape, a - 1, b - 1)
+            fam["P"][(a, b)] = fam["P"][(b, a)] = -WeylOp.multiplication(quad)
+            fam["D"][(a, b)] = fam["D"][(b, a)] = WeylOp.differential(quad)
     return fam
+
+
+def _row_pairing(shape: FockShape, r: int, s: int) -> FockPoly:
+    """The quadratic sum_i x_ri x_si of block rows r and s, counted from 0
+    over the Z rows and then the W rows."""
+    nv, cols = shape.nvars, shape.cols
+    terms = {}
+    for i in range(cols):
+        mono = [0] * nv
+        mono[r * cols + i] += 1
+        mono[s * cols + i] += 1
+        terms[tuple(mono)] = GaussRat(1)
+    return FockPoly._new(shape, terms)
 
 
 def supq_laplacians(p: int, q: int, k: int):
@@ -585,22 +575,12 @@ def supq_laplacians(p: int, q: int, k: int):
 def _supq_family(p, q, k):
     _require_positive("the u(p,q) quadratics", p=p, q=q, k=k)
     shape = FockShape(p, k, q)
-    nv = shape.nvars
-    zero = (0,) * nv
     fam = {"p": {}, "delta": {}}
     for a in range(1, p + 1):
         for b in range(1, q + 1):
-            p_terms: dict = {}
-            d_terms: dict = {}
-            for i in range(1, k + 1):
-                mono = [0] * nv
-                mono[shape.z_index(a, i)] += 1
-                mono[shape.w_index(b, i)] += 1
-                mono = tuple(mono)
-                p_terms[(mono, zero)] = GaussRat(1)
-                d_terms[(zero, mono)] = GaussRat(1)
-            fam["p"][(a, b)] = WeylOp(shape, p_terms)
-            fam["delta"][(a, b)] = WeylOp(shape, d_terms)
+            quad = _row_pairing(shape, a - 1, p + b - 1)
+            fam["p"][(a, b)] = WeylOp.multiplication(quad)
+            fam["delta"][(a, b)] = WeylOp.differential(quad)
     return fam
 
 
@@ -687,23 +667,14 @@ def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
 
 def radial_square(k: int) -> FockPoly:
     """The invariant quadratic sum of Z_i^2 on one row of k variables."""
-    shape = FockShape(1, k)
-    return FockPoly(
-        shape, {_unit(shape.nvars, i, 2): GaussRat(1) for i in range(k)}
-    )
-
-
-@lru_cache(maxsize=_GENERATOR_MEMO)
-def _laplacian(k: int) -> WeylOp:
-    """The integer Laplacian sum_i d_i^2 = 2 X- on one row of k variables."""
-    return 2 * sl2_generators(k)[2]
+    return _row_pairing(FockShape(1, k), 0, 0)
 
 
 def harmonic_project_rank1(f: FockPoly, k: int):
     """Split a homogeneous f into sum_j p0^j h_j with every h_j harmonic.
 
     Works top down: the deepest component is isolated by iterating the
-    Laplacian, whose j-th power sends p0^j h (h harmonic of degree r) to
+    Laplacian D_11 = sum_i d_i^2 = 2 X-, whose j-th power sends p0^j h (h harmonic of degree r) to
     const * h with const = prod_{t<=j} 2t*(k + 2*(r + t - 1)).  The
     remainder is kept times a running integer scale, so integer inputs
     stay on ints until each component is divided once, when it is
@@ -720,7 +691,7 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     if m < 2:
         # Already harmonic; this also serves k = 0, which has no ladder triple.
         return [(0, f)]
-    laplacian = _laplacian(k)
+    laplacian = _sp2n_family(1, k)["D"][(1, 1)]
     p0 = radial_square(k)
     # The remainder still to split is work / scale.
     work = f
@@ -744,13 +715,6 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     if not work.is_zero():
         raise ReconstructionFailed("harmonic components do not rebuild the input")
     return sorted(components)
-
-
-def _poly_det(entries):
-    """Determinant of a small nonempty square matrix of FockPolys."""
-    if not entries:
-        raise ValueError("empty determinant")
-    return leibniz_det(entries, FockPoly.constant(entries[0][0].shape, 1))
 
 
 def _so_q_matrix(k: int):
@@ -779,24 +743,15 @@ def _so_q_matrix(k: int):
     return q
 
 
-def _minor_product(entry, diffs, shape):
-    """Product over i of (i-th principal minor)^diffs[i-1]."""
-    out = FockPoly.constant(shape, 1)
-    for size in range(1, len(diffs) + 1):
-        exp = diffs[size - 1]
-        if not exp:
-            continue
-        minor = _poly_det(
-            [[entry(r, c) for c in range(size)] for r in range(size)]
-        )
-        out = out * minor ** exp
+def _minor_product(entry, sig, shape):
+    """Product over i of (i-th principal minor)^(sig[i-1] - sig[i])."""
+    one = FockPoly.constant(shape, 1)
+    out = one
+    for size, (part, below) in enumerate(zip(sig, sig[1:] + (0,)), 1):
+        if part != below:
+            minor = leibniz_det([[entry(r, c) for c in range(size)] for r in range(size)], one)
+            out = out * minor ** (part - below)
     return out
-
-
-def _exponent_diffs(sig):
-    return [
-        sig[i] - (sig[i + 1] if i + 1 < len(sig) else 0) for i in range(len(sig))
-    ]
 
 
 def hwv(kind: str, data, n, k: int) -> FockPoly:
@@ -815,9 +770,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         if len(lam) > n or len(lam) > k:
             raise BadSignature(f"signature {list(lam)} needs n, k >= {len(lam)}")
         shape = FockShape(n, k)
-        return _minor_product(
-            lambda r, c: z_var(shape, r + 1, c + 1), _exponent_diffs(lam), shape
-        )
+        return _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), lam, shape)
     if kind == "so_rank1":
         r = data if isinstance(data, int) else (canonicalize(data) + (0,))[0]
         if r < 0:
@@ -852,9 +805,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
             ]
             for r in range(size)
         ]
-        return _minor_product(
-            lambda r, c: zq[r][c], _exponent_diffs(mu), shape
-        )
+        return _minor_product(lambda r, c: zq[r][c], mu, shape)
     if kind == "upq":
         nu_sig, lam_sig = data
         p, q = n
@@ -865,13 +816,9 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         if len(nu_sig) + len(lam_sig) > k:
             raise BadSignature("blocks overlap: need len(nu) + len(lam) <= k")
         shape = FockShape(p, k, q)
-        left = _minor_product(
-            lambda r, c: z_var(shape, r + 1, c + 1), _exponent_diffs(nu_sig), shape
-        )
+        left = _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), nu_sig, shape)
         # Reversed block: entry (a, b) of the flipped W matrix.
-        right = _minor_product(
-            lambda r, c: w_var(shape, q - r, k - c), _exponent_diffs(lam_sig), shape
-        )
+        right = _minor_product(lambda r, c: w_var(shape, q - r, k - c), lam_sig, shape)
         return left * right
     raise BadSignature(f"unknown highest weight vector kind {kind!r}")
 
@@ -987,54 +934,6 @@ def _linear_images(shape: FockShape, matrix, side: str) -> dict:
             continue
         images[idx] = FockPoly._new(shape, terms)
     return images
-
-
-def _matrix_inverse(g):
-    size = len(g)
-    aug = [
-        [GaussRat.coerce(x) for x in row]
-        + [GaussRat(1 if i == j else 0) for j in range(size)]
-        for i, row in enumerate(g)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise DimensionMismatch("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = GaussRat(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
-def conjugate_weyl_by_right_translation(op: WeylOp, g) -> WeylOp:
-    """Compute R(g) A R(g)^-1 in normal order.
-
-    Under conjugation, multiplications pull back through g and
-    derivatives through its inverse transpose, so each normal-ordered
-    term maps to a product of transformed halves that is already in
-    normal order.
-    """
-    shape = op.shape
-    if shape.wrows:
-        raise DimensionMismatch("conjugation implemented for pure Z shapes")
-    size = shape.cols
-    if len(g) != size or any(len(row) != size for row in g):
-        raise DimensionMismatch(f"need a {size}x{size} matrix")
-    zimages = _linear_images(shape, g, "right")
-    dimages = _linear_images(shape, _transpose(_matrix_inverse(g)), "right")
-    one = GaussRat(1)
-    out: dict = {}
-    for (z, d), c in op.terms.items():
-        zpoly = FockPoly._new(shape, {z: one}).substitute(zimages)
-        dpoly = FockPoly._new(shape, {d: one}).substitute(dimages)
-        for e1, c1 in zpoly.terms.items():
-            for e2, c2 in dpoly.terms.items():
-                add_into(out, (e1, e2), c * c1 * c2)
-    return WeylOp._new(shape, out)
 
 
 _VAR_RE = _re.compile(r"^([ZW])\[(\d+)\]\[(\d+)\](?:\^(\d+))?$")

@@ -51,13 +51,6 @@ def conjugate(sig: Signature) -> Signature:
     return tuple(cols)
 
 
-def contains(inner: Signature, outer: Signature) -> bool:
-    """Diagram containment inner <= outer, row by row."""
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
-
-
 def mixed(parts, rank: int) -> MixedSignature:
     """Validate a mixed signature of the given ambient rank."""
     parts = tuple(int(p) for p in parts)

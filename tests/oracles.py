@@ -3,10 +3,11 @@
 Nothing here shares code with the package: LR coefficients come from
 enumerating every raw filling of the skew diagram, dimensions from a
 standalone tableau counter, quadratic operator identities from
-ad-matrices read off the term maps, Borel covariance from rational and
-from doubled integer substitution on plain dicts and the harmonic
-projection from lowering with X- on Fractions, so agreement is
-meaningful.
+ad-matrices read off the term maps, the oscillator generators from term
+maps written monomial by monomial, operator conjugation from expanding
+linear forms, Borel covariance from rational and from doubled integer
+substitution on plain dicts and the harmonic projection from lowering
+with X- on Fractions, so agreement is meaningful.
 """
 
 import random
@@ -278,6 +279,121 @@ def quadratic_relation_holds(x, y, rhs):
     ])
     vac_rhs = _combination([(c, _vacuum_apply(g, one)) for c, g in rhs])
     return ad_lhs == ad_rhs and vac_lhs == vac_rhs
+
+
+# The oscillator generators as explicit term maps {(z, d): (re, im)},
+# written monomial by monomial, apart from the shared quadratic that the
+# package builds them from.
+
+
+def _mono(nvars, *indices):
+    e = [0] * nvars
+    for i in indices:
+        e[i] += 1
+    return tuple(e)
+
+
+def sl2_terms(k):
+    """(E, X+, X-) on one row of k variables."""
+    zero = (0,) * k
+    e = {(zero, zero): gauss_ref(Fraction(k, 2))}
+    e.update({(_mono(k, i), _mono(k, i)): gauss_ref(1) for i in range(k)})
+    xp = {(_mono(k, i, i), zero): gauss_ref(Fraction(1, 2)) for i in range(k)}
+    xm = {(zero, _mono(k, i, i)): gauss_ref(Fraction(1, 2)) for i in range(k)}
+    return e, xp, xm
+
+
+def sp2n_terms(n, k):
+    """{"E", "P", "D"} of the rank-n oscillator algebra on n rows of k variables."""
+    nv = n * k
+    zero = (0,) * nv
+    fam = {"E": {}, "P": {}, "D": {}}
+    for a, b in product(range(n), repeat=2):
+        e = {(zero, zero): gauss_ref(Fraction(k, 2))} if a == b else {}
+        e.update({(_mono(nv, a * k + i), _mono(nv, b * k + i)): gauss_ref(1) for i in range(k)})
+        quads = [_mono(nv, a * k + i, b * k + i) for i in range(k)]
+        fam["E"][(a + 1, b + 1)] = e
+        fam["P"][(a + 1, b + 1)] = {(m, zero): gauss_ref(-1) for m in quads}
+        fam["D"][(a + 1, b + 1)] = {(zero, m): gauss_ref(1) for m in quads}
+    return fam
+
+
+def supq_terms(p, q, k):
+    """{"p", "delta"}: sum_i Z_ai W_bi and its Laplacian, on p Z rows and q W rows."""
+    nv = (p + q) * k
+    zero = (0,) * nv
+    fam = {"p": {}, "delta": {}}
+    for a, b in product(range(p), range(q)):
+        quads = [_mono(nv, a * k + i, (p + b) * k + i) for i in range(k)]
+        fam["p"][(a + 1, b + 1)] = {(m, zero): gauss_ref(1) for m in quads}
+        fam["delta"][(a + 1, b + 1)] = {(zero, m): gauss_ref(1) for m in quads}
+    return fam
+
+
+def matrix_inverse(g):
+    """Inverse of a square matrix of rationals, by Gauss-Jordan elimination."""
+    size = len(g)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(g)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def _expand_forms(e, forms):
+    """prod_v forms[v]^e[v] as {exponents: rational}; forms[v] is a linear
+    form {variable: rational}."""
+    out = {(0,) * len(e): Fraction(1)}
+    for v, x in enumerate(e):
+        for _ in range(x):
+            step = {}
+            for key, c in out.items():
+                for w, a in forms[v].items():
+                    new = key[:w] + (key[w] + 1,) + key[w + 1:]
+                    step[new] = step.get(new, 0) + c * a
+            out = {key: c for key, c in step.items() if c}
+    return out
+
+
+def conjugate_by_right_translation(op, g):
+    """R(g) A R(g)^-1 as {(z, d): (re, im)}, for a WeylOp A on Z rows only
+    and a square rational matrix g acting on the columns.
+
+    Under conjugation, multiplications pull back through g and
+    derivatives through its inverse transpose, so each normal-ordered
+    term maps to a product of transformed halves that is already in
+    normal order.
+    """
+    cols, nv = op.shape.cols, op.shape.nvars
+    if op.shape.wrows:
+        raise ValueError("conjugation implemented for pure Z shapes")
+    ginv = matrix_inverse(g)
+    # Variable (row, i) maps to sum_t m[t][i] (row, t), with m = g for
+    # multiplications and m = ginv^T for derivatives.
+    zforms = [
+        {v - v % cols + t: Fraction(g[t][v % cols]) for t in range(cols) if g[t][v % cols]}
+        for v in range(nv)
+    ]
+    dforms = [
+        {v - v % cols + t: ginv[v % cols][t] for t in range(cols) if ginv[v % cols][t]}
+        for v in range(nv)
+    ]
+    out = {}
+    for (z, d), c in op.terms.items():
+        c = gauss_ref(c.re, c.im)
+        for z2, a in _expand_forms(z, zforms).items():
+            for d2, b in _expand_forms(d, dforms).items():
+                _accumulate(out, (z2, d2), gauss_mul(gauss_ref(a * b), c))
+    return out
 
 
 # Borel covariance by rational trials: f(B Z) = F f, F the product of the

@@ -248,6 +248,20 @@ def test_cache_round_trip(tmp_path, capsys):
     assert len(cache.read_text().strip().splitlines()) == 1
 
 
+def test_fock_hwv_cache_key_ignores_seed(tmp_path, capsys, monkeypatch):
+    """--seed changes no answer, so runs that differ only in it share one record."""
+    cache = tmp_path / "cache.jsonl"
+    built = []
+    monkeypatch.setattr(cli, "hwv", lambda *a: built.append(a) or isotypic.hwv(*a))
+    args = ["fock", "hwv", "--kind", "gl", "--sig", "2,1", "--n", "2", "--k", "3",
+            "--json", "--cache", str(cache)]
+    first = invoke(capsys, *args, "--seed", "1")
+    second = invoke(capsys, *args, "--seed", "2")
+    assert first[0] == 0 and second == first
+    assert len(cache.read_text().strip().splitlines()) == 1
+    assert len(built) == 1  # the second run is served from the cache
+
+
 def test_cache_ignores_corruption_and_old_versions(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("not json at all\n")

@@ -20,7 +20,6 @@ from isotypic.fock import (
     I_UNIT,
     WeylOp,
     check_covariance,
-    conjugate_weyl_by_right_translation,
     harmonic_project_rank1,
     hwv,
     pairing,
@@ -39,12 +38,12 @@ from isotypic.fock import (
     z_var,
     w_var,
     _linear_images,
-    _matrix_inverse,
 )
 from isotypic.terms import leibniz_det
 from oracles import (
     ZERO,
     ad_matrix,
+    conjugate_by_right_translation,
     covariance_by_fraction_trials,
     covariance_by_integer_trials,
     gauss_add,
@@ -59,7 +58,11 @@ from oracles import (
     index_key,
     int_expand,
     int_images,
+    matrix_inverse,
     quadratic_relation_holds,
+    sl2_terms,
+    sp2n_terms,
+    supq_terms,
 )
 
 
@@ -620,16 +623,23 @@ def test_translation_unitarity():
             ) == pairing(f, g)
 
 
+def _reference_terms(op):
+    return {key: gauss_ref(c.re, c.im) for key, c in op.terms.items()}
+
+
 def test_conjugation_identity():
+    """R(g) p(D) R(g)^-1 = (p o g^-T)(D) and R(g) p R(g)^-1 = p o g, with the
+    left sides from the conjugation oracle and the right ones from translate."""
     shape = FockShape(1, 2)
     p = z_var(shape, 1, 1) ** 2
     for g in ([[0, 1], [1, 0]], [[1, 2], [0, 1]], [[1, 1], [1, 2]]):
-        gmat = [[GaussRat.coerce(Fraction(x)) for x in row] for row in g]
-        ginv = _matrix_inverse(gmat)
+        ginv = matrix_inverse(g)
         gcheck = [[ginv[j][i] for j in range(2)] for i in range(2)]
-        lhs = conjugate_weyl_by_right_translation(WeylOp.differential(p), gmat)
+        lhs = conjugate_by_right_translation(WeylOp.differential(p), g)
         rhs = WeylOp.differential(translate(p, gcheck, "right"))
-        assert lhs == rhs, g
+        assert lhs == _reference_terms(rhs), g
+        lhs = conjugate_by_right_translation(WeylOp.multiplication(p), g)
+        assert lhs == _reference_terms(WeylOp.multiplication(translate(p, g, "right"))), g
 
 
 def test_poly_text_round_trip():
@@ -847,7 +857,8 @@ def _workload_hwvs():
 
 
 def test_integer_covariance_trials_agree_with_the_fraction_route():
-    """check_covariance substitutes 2B for B; the oracle substitutes B itself."""
+    """The polarization decision of check_covariance against the rational
+    trials of the oracle, which substitutes triangular B itself."""
     results = []
 
     def both(f, side, exps, seed, trials=8):
@@ -1081,3 +1092,22 @@ def test_generators_are_built_once_and_handed_out_in_fresh_dicts():
         for _ in range(2):
             with pytest.raises(RankTooSmall):
                 call()
+
+
+def test_generators_match_explicit_term_maps():
+    """The generators built from the one shared quadratic against term maps
+    written monomial by monomial, and the ladder triple as the rank-1 case."""
+    for k in range(1, 7):
+        triple = sl2_generators(k)
+        assert [_reference_terms(op) for op in triple] == list(sl2_terms(k)), k
+        assert triple[0] is sp2n_generators(1, k)["E"][(1, 1)]
+    for n, k in product(range(1, 4), range(1, 6)):
+        fam = sp2n_generators(n, k)
+        want = sp2n_terms(n, k)
+        assert {name: {key: _reference_terms(op) for key, op in ops.items()}
+                for name, ops in fam.items()} == want, (n, k)
+    for p, q, k in product(range(1, 3), range(1, 3), range(1, 5)):
+        fam = supq_laplacians(p, q, k)
+        want = supq_terms(p, q, k)
+        assert {name: {key: _reference_terms(op) for key, op in ops.items()}
+                for name, ops in fam.items()} == want, (p, q, k)

@@ -14,7 +14,6 @@ from isotypic.signatures import (
     GroupFamily,
     canonicalize,
     conjugate,
-    contains,
     iter_partitions,
     mixed,
     pad,
@@ -127,12 +126,10 @@ def test_render_and_parse():
     assert parse("2,2,0") == (2, 2)
 
 
-def test_pad_and_contains():
+def test_pad():
     assert pad((2, 1), 4) == (2, 1, 0, 0)
     with pytest.raises(RankConstraint):
         pad((1, 1, 1), 2)
-    assert contains((2, 1), (3, 1))
-    assert not contains((2, 2), (3, 1))
 
 
 def test_group_family_constraints():

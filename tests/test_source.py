@@ -62,7 +62,6 @@ def test_traced_benchmark_targets_still_resolve():
         characters.schur_poly,
         characters.schur_laurent_on_so_torus,
         characters.so_character,
-        fock._laplacian,
         lr._lr_table,
     ]
     assert all(memo.cache_parameters()["maxsize"] is not None for memo in memos)
