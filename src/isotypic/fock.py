@@ -20,17 +20,16 @@ re-deriving the nonzero exponents per call.  Commutators keep only
 contracted terms, since the uncontracted ones of ab and ba cancel, and
 so visit only the term pairs that contract; on them rest the relation
 checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  The
-quadratic generators all come from one quadratic, the pairing
-q_rs = sum_i x_ri x_si of two block rows, as the operators of
-multiplication by q_rs and of q_rs(D): P_ab = -q_ab and D_ab = q_ab(D)
-of the oscillator algebra, the u(p,q) pairs across a Z row and a W row,
-and the ladder triple (E_11, -P_11/2, D_11/2) as the rank-1 case.  The
-generators are built once per rank and shared, so each operator's index
-serves every later query.  Borel covariance is decided, not sampled: a
-degree condition for the torus and the polarization operators for the
-unipotent radical (see ``check_covariance``).  The harmonic projection
-lowers with the integer Laplacian D_11 and divides each component once,
-when it is emitted.
+quadratic generators come from one polynomial, the pairing
+q_rs = sum_i x_ri x_si of two block rows, as multiplication by it and as
+q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
+u(p,q) pairs across a Z row and a W row, and the ladder triple
+(E_11, -P_11/2, D_11/2) as the rank-1 case.  The generators are built
+once per rank and shared, so each operator's index serves every later
+query.  Borel covariance is decided, not sampled: a degree condition for
+the torus and the polarization operators for the unipotent radical (see
+``check_covariance``).  The harmonic projection lowers with the integer
+Laplacian D_11 and divides each component once, when it is emitted.
 """
 
 from __future__ import annotations
@@ -674,11 +673,12 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     """Split a homogeneous f into sum_j p0^j h_j with every h_j harmonic.
 
     Works top down: the deepest component is isolated by iterating the
-    Laplacian D_11 = sum_i d_i^2 = 2 X-, whose j-th power sends p0^j h (h harmonic of degree r) to
-    const * h with const = prod_{t<=j} 2t*(k + 2*(r + t - 1)).  The
-    remainder is kept times a running integer scale, so integer inputs
-    stay on ints until each component is divided once, when it is
-    emitted; the result is exact.
+    Laplacian D_11 = sum_i d_i^2 = 2 X-, whose j-th power sends p0^j h
+    (h harmonic of degree r) to const * h with
+    const = prod_{t<=j} 2t*(k + 2*(r + t - 1)).  The remainder is kept
+    times a running integer scale, so integer inputs stay on ints until
+    each component is divided once, when it is emitted; the result is
+    exact.
     """
     shape = FockShape(1, k)
     if f.shape != shape:
