@@ -282,8 +282,8 @@ def quadratic_relation_holds(x, y, rhs):
 
 
 # The oscillator generators as explicit term maps {(z, d): (re, im)},
-# written monomial by monomial, apart from the shared quadratic that the
-# package builds them from.
+# written monomial by monomial rather than from the one shared quadratic
+# that the package builds them from.
 
 
 def _mono(nvars, *indices):
