@@ -6,13 +6,14 @@ standalone tableau counter, quadratic operator identities from
 ad-matrices read off the term maps, the oscillator generators from term
 maps written monomial by monomial, operator conjugation from expanding
 linear forms, Borel covariance from rational and from doubled integer
-substitution on plain dicts and the harmonic projection from lowering
-with X- on Fractions, so agreement is meaningful.
+substitution on plain dicts, the harmonic projection from lowering
+with X- on Fractions and the SO highest weight vectors from an explicit
+isotropic frame matrix and Leibniz minors, so agreement is meaningful.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from operator import add
 
 
@@ -617,3 +618,75 @@ def harmonic_by_fraction_lowering(f, k):
     if work:
         raise ValueError("harmonic components do not rebuild the input")
     return components[::-1]
+
+
+# The SO highest weight vectors: products of principal minors of Z q, for
+# the column-rescaled isotropic frame q written out as a full k x k
+# matrix, Z q summed entry by entry and each minor expanded over every
+# permutation.  Polynomials are {exponents: (re, im)} dicts on the n x k
+# variables of Z, row-major.
+
+
+def so_frame(k):
+    """The k x k isotropic frame: column t < k//2 is e_t + i e_t', column
+    t' is e_t - i e_t' with t' = k//2 + t + k%2, and for odd k the middle
+    column is e_(k//2)."""
+    half, odd = k // 2, k % 2
+    q = [[ZERO] * k for _ in range(k)]
+    for t in range(half):
+        partner = half + odd + t
+        q[t][t] = q[t][partner] = gauss_ref(1)
+        q[partner][t] = gauss_ref(0, 1)
+        q[partner][partner] = gauss_ref(0, -1)
+    if odd:
+        q[half][half] = gauss_ref(1)
+    return q
+
+
+def _poly_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            _accumulate(out, tuple(map(add, e1, e2)), gauss_mul(c1, c2))
+    return out
+
+
+def z_times_frame(n, k):
+    """Z q as an n x k matrix of linear forms."""
+    q = so_frame(k)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(k):
+            entry = {}
+            for t in range(k):
+                if q[t][c] != ZERO:
+                    _accumulate(entry, _mono(n * k, r * k + t), q[t][c])
+            row.append(entry)
+        out.append(row)
+    return out
+
+
+def leibniz_minor(matrix, size, nvars):
+    """The leading size x size minor of a matrix of polynomials in nvars
+    variables, summed over every permutation with its sign."""
+    out = {}
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = {(0,) * nvars: gauss_ref(-1 if inversions % 2 else 1)}
+        for r in range(size):
+            term = _poly_mul(term, matrix[r][perm[r]])
+        for e, c in term.items():
+            _accumulate(out, e, c)
+    return out
+
+
+def so_hwv_by_frame(mu, n, k):
+    """prod_i (i-th principal minor of Z q)^(mu_i - mu_(i+1)) as a dict."""
+    zq = z_times_frame(n, k)
+    out = {(0,) * (n * k): gauss_ref(1)}
+    for size, (part, below) in enumerate(zip(mu, tuple(mu[1:]) + (0,)), 1):
+        minor = leibniz_minor(zq, size, n * k)
+        for _ in range(part - below):
+            out = _poly_mul(out, minor)
+    return out

@@ -39,6 +39,7 @@ from isotypic.fock import (
     w_var,
     _linear_images,
 )
+from isotypic.signatures import iter_partitions
 from isotypic.terms import leibniz_det
 from oracles import (
     ZERO,
@@ -61,6 +62,7 @@ from oracles import (
     matrix_inverse,
     quadratic_relation_holds,
     sl2_terms,
+    so_hwv_by_frame,
     sp2n_terms,
     supq_terms,
 )
@@ -529,6 +531,30 @@ def test_so_general_hwv_matches_rank1():
     for k in (4, 5, 6, 7):
         assert hwv("so_general", (1,), 1, k) == hwv("so_rank1", 1, 1, k)
         assert hwv("so_general", (3,), 1, k) == hwv("so_rank1", 3, 1, k)
+
+
+def test_so_hwv_match_the_explicit_frame():
+    """Both SO kinds against minors of Z q for the frame matrix written out."""
+    sigs = [p for w in range(5) for p in iter_partitions(w)]
+    for k in range(1, 9):
+        for n in range(1, 4):
+            for mu in sigs:
+                if len(mu) > n or 2 * len(mu) > k:
+                    with pytest.raises(BadSignature):
+                        hwv("so_general", mu, n, k)
+                    continue
+                got = hwv("so_general", mu, n, k).terms
+                assert {e: gauss_ref(c.re, c.im) for e, c in got.items()} == so_hwv_by_frame(
+                    mu, n, k
+                ), (mu, n, k)
+        for r in range(5):
+            if r and k < 2:
+                with pytest.raises(BadSignature):
+                    hwv("so_rank1", r, 1, k)
+                continue
+            got = hwv("so_rank1", r, 1, k).terms
+            expected = so_hwv_by_frame((r,) if r else (), 1, k)
+            assert {e: gauss_ref(c.re, c.im) for e, c in got.items()} == expected, (r, k)
 
 
 def test_so_general_hwv_harmonic():
