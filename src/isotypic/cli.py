@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import __version__
 from .branching import reciprocity_check, restrict_gl_to_so, restrict_gl_to_sp
 from .characters import dim
-from .errors import IsotypicError, NotDecreasing
+from .errors import IsotypicError
 from .fock import (
     FockShape,
     _build_poly,
@@ -33,7 +33,6 @@ from .fock import (
     hwv,
     pairing,
     render_poly,
-    sl2_generators,
     sp2n_generators,
     supq_laplacians,
     verify_sl2,
@@ -41,7 +40,7 @@ from .fock import (
     verify_supq,
 )
 from .lr import Decomposition, tensor_multi
-from .signatures import GroupFamily, parse, render
+from .signatures import GroupFamily, decreasing, parse, render
 from .stable_limits import identity_multiplicity, stable_branch, stable_tensor
 
 
@@ -74,11 +73,7 @@ def decomposition_from_json(obj: dict) -> Decomposition:
 
 def parse_mixed_text(text: str):
     """Parse a comma-separated signature allowing negative entries."""
-    parts = tuple(int(p) for p in text.split(","))
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
-    return parts
+    return decreasing(text.split(","))
 
 
 def positive_int(text: str) -> int:
@@ -172,16 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stable_json(res) -> dict:
+    return decomposition_to_json(res.stable, k0=res.k0)
+
+
 def _tensor_result(args):
     factors = [parse(s) for s in args.sigs]
     if args.stable:
         query = f"tensor|stable|{';'.join(render(f) for f in factors)}"
-
-        def compute():
-            res = stable_tensor(factors)
-            return decomposition_to_json(res.stable, k0=res.k0)
-
-        return query, compute
+        return query, lambda: _stable_json(stable_tensor(factors))
     query = f"tensor|rank={args.rank}|{';'.join(render(f) for f in factors)}"
     return query, lambda: decomposition_to_json(tensor_multi(factors, args.rank))
 
@@ -190,12 +184,7 @@ def _branch_result(args):
     lam = parse(args.sig)
     if args.stable:
         query = f"branch|{args.to}|stable|{render(lam)}"
-
-        def compute():
-            res = stable_branch(lam, args.to)
-            return decomposition_to_json(res.stable, k0=res.k0)
-
-        return query, compute
+        return query, lambda: _stable_json(stable_branch(lam, args.to))
     restrict = restrict_gl_to_so if args.to == "so" else restrict_gl_to_sp
     query = f"branch|{args.to}|rank={args.rank}|{render(lam)}"
     return query, lambda: decomposition_to_json(restrict(lam, args.rank))
@@ -304,15 +293,14 @@ def _fock_hwv_result(args):
             verified = check_covariance(vector, "left_lower", sig) and check_covariance(
                 vector, "right_upper", sig
             )
-        elif kind == "so_rank1":
-            _, _, lower = sl2_generators(args.k)
-            verified = lower.apply(vector).is_zero()
         else:
-            fam = sp2n_generators(args.n, args.k)
+            # Both SO kinds: every D_ab kills the vector (D_11 = 2 X- at one row).
+            rows = vector.shape.rows
+            fam = sp2n_generators(rows, args.k)
             verified = all(
                 fam["D"][(a, b)].apply(vector).is_zero()
-                for a in range(1, args.n + 1)
-                for b in range(a, args.n + 1)
+                for a in range(1, rows + 1)
+                for b in range(a, rows + 1)
             )
         return {
             "kind": kind, "signature": list(sig), "n": args.n, "k": args.k,
@@ -427,17 +415,14 @@ def render_human(obj: dict) -> str:
             head += f"  k0={obj['k0']}"
         lines = [head]
         for term in obj["terms"]:
-            sig = ",".join(str(x) for x in term["signature"]) or "0"
-            lines.append(f"{term['mult']:>6}  {sig}")
+            lines.append(f"{term['mult']:>6}  {render(term['signature'])}")
         return "\n".join(lines)
     if "rows" in obj:
-        sig = ",".join(str(x) for x in obj["signature"]) or "0"
-        lines = [f"reciprocity of {sig} at n={obj['n']}, k={obj['k']}"]
+        lines = [f"reciprocity of {render(obj['signature'])} at n={obj['n']}, k={obj['k']}"]
         lines.append("    mu        side_a  side_b  agree")
         for row in obj["rows"]:
-            mu = ",".join(str(x) for x in row["mu"]) or "0"
             lines.append(
-                f"    {mu:<10}{row['side_a']:<8}{row['side_b']:<8}"
+                f"    {render(row['mu']):<10}{row['side_a']:<8}{row['side_b']:<8}"
                 f"{'yes' if row['agree'] else 'NO'}"
             )
         lines.append(f"all rows agree: {'yes' if obj['all_agree'] else 'NO'}")

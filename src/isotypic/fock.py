@@ -26,10 +26,14 @@ q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
 u(p,q) pairs across a Z row and a W row, and the ladder triple
 (E_11, -P_11/2, D_11/2) as the rank-1 case.  The generators are built
 once per rank and shared, so each operator's index serves every later
-query.  Borel covariance is decided, not sampled: a degree condition for
-the torus and the polarization operators for the unipotent radical (see
-``check_covariance``).  The harmonic projection lowers with the integer
-Laplacian D_11 and divides each component once, when it is emitted.
+query.  The highest weight vectors are products of principal minors, of
+Z for GL and of Z q for SO, where q is an isotropic frame: both SO kinds
+read the one frame entry z_rc + i z_rc' (``_isotropic``), the rank-1
+vector as its power.  Borel covariance is decided, not sampled: a degree
+condition for the torus and the polarization operators for the unipotent
+radical (see ``check_covariance``).  The harmonic projection lowers
+with the integer Laplacian D_11 and divides each component once, when
+it is emitted.
 """
 
 from __future__ import annotations
@@ -717,30 +721,19 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     return sorted(components)
 
 
-def _so_q_matrix(k: int):
-    """The column-rescaled isotropic frame matrix (entries 0, 1, +-i).
+def _isotropic(shape: FockShape, r: int, c: int) -> FockPoly:
+    """Entry (r, c) of Z q, counted from 0: z_rc + i z_rc' with
+    c' = k//2 + c + k%2.
 
-    Column rescaling is harmless because principal minors of Z*q scale by
-    constants and highest weight vectors are only defined up to scalars.
+    Column c < k//2 of the isotropic frame q is e_c + i e_c', rescaled,
+    which is harmless: principal minors of Z q then only scale by
+    constants, and highest weight vectors are defined up to scalars.
     """
-    half = k // 2
-    one = GaussRat(1)
-    zero = GaussRat(0)
-    q = [[zero for _ in range(k)] for _ in range(k)]
-    if k % 2 == 0:
-        for t in range(half):
-            q[t][t] = one
-            q[t][half + t] = one
-            q[half + t][t] = I_UNIT
-            q[half + t][half + t] = -I_UNIT
-    else:
-        for t in range(half):
-            q[t][t] = one
-            q[t][half + 1 + t] = one
-            q[half + 1 + t][t] = I_UNIT
-            q[half + 1 + t][half + 1 + t] = -I_UNIT
-        q[half][half] = one
-    return q
+    k, nv = shape.cols, shape.nvars
+    first = r * k + c
+    return FockPoly._new(
+        shape, {_unit(nv, first): GaussRat(1), _unit(nv, first + k // 2 + k % 2): I_UNIT}
+    )
 
 
 def _minor_product(entry, sig, shape):
@@ -772,7 +765,10 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         shape = FockShape(n, k)
         return _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), lam, shape)
     if kind == "so_rank1":
-        r = data if isinstance(data, int) else (canonicalize(data) + (0,))[0]
+        sig = (data,) if isinstance(data, int) else canonicalize(data)
+        if len(sig) > 1:
+            raise BadSignature(f"signature {list(sig)} has more than one part")
+        r = sig[0] if sig else 0
         if r < 0:
             raise BadSignature(f"degree must be nonnegative, got {r}")
         shape = FockShape(1, k)
@@ -780,10 +776,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
             return FockPoly.constant(shape, 1)
         if k < 2:
             raise BadSignature("isotropic vectors need k >= 2")
-        s = k // 2
-        partner = s + 1 if k % 2 == 0 else s + 2
-        base = z_var(shape, 1, 1) + I_UNIT * z_var(shape, 1, partner)
-        return base ** r
+        return _isotropic(shape, 0, 0) ** r
     if kind == "so_general":
         mu = canonicalize(data)
         if len(mu) > n:
@@ -793,19 +786,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
                 f"signature {list(mu)} needs {2 * len(mu)} <= k, got k={k}"
             )
         shape = FockShape(n, k)
-        q = _so_q_matrix(k)
-        size = len(mu)
-        zq = [
-            [
-                sum(
-                    (z_var(shape, r + 1, t + 1) * q[t][c] for t in range(k)),
-                    FockPoly.zero(shape),
-                )
-                for c in range(size)
-            ]
-            for r in range(size)
-        ]
-        return _minor_product(lambda r, c: zq[r][c], mu, shape)
+        return _minor_product(lambda r, c: _isotropic(shape, r, c), mu, shape)
     if kind == "upq":
         nu_sig, lam_sig = data
         p, q = n
@@ -902,38 +883,23 @@ def translate(f: FockPoly, g, side: str = "right") -> FockPoly:
     """
     if side not in ("right", "left_transpose"):
         raise ValueError(f"unknown side {side!r}")
-    size = f.shape.cols if side == "right" else f.shape.rows
+    shape = f.shape
+    cols, nv = shape.cols, shape.nvars
+    size = cols if side == "right" else shape.rows
     if len(g) != size or any(len(row) != size for row in g):
         raise DimensionMismatch(f"need a {size}x{size} matrix")
-    if side == "right":
-        return f.substitute(_linear_images(f.shape, g, "right"))
-    return f.substitute(_linear_images(f.shape, _transpose(g), "left"))
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def _linear_images(shape: FockShape, matrix, side: str) -> dict:
-    """Variable images of the substitution Z -> M Z or Z -> Z M.
-
-    side "left" maps Z to M Z (rows mix, W is fixed); side "right" maps
-    Z to Z M and W to W M (columns mix).  M is a square matrix of exact
-    scalars of the matching size.
-    """
-    m = [[GaussRat.coerce(x) for x in row] for row in matrix]
-    cols, nv = shape.cols, shape.nvars
+    m = [[GaussRat.coerce(x) for x in row] for row in g]
+    # Variable (row, i) maps to sum_t g[t][i] (row, t) on the right, and
+    # for a Z row to sum_t g[t][row] (t, i) on the left; W stays fixed there.
     images = {}
-    for idx in range(nv):
+    for idx in range(nv if side == "right" else shape.rows * cols):
         row, i = divmod(idx, cols)
         if side == "right":
-            terms = {_unit(nv, row * cols + t): m[t][i] for t in range(cols) if m[t][i]}
-        elif row < shape.rows:
-            terms = {_unit(nv, t * cols + i): c for t, c in enumerate(m[row]) if c}
+            pairs = ((row * cols + t, m[t][i]) for t in range(cols))
         else:
-            continue
-        images[idx] = FockPoly._new(shape, terms)
-    return images
+            pairs = ((t * cols + i, m[t][row]) for t in range(size))
+        images[idx] = FockPoly._new(shape, {_unit(nv, v): c for v, c in pairs if c})
+    return f.substitute(images)
 
 
 _VAR_RE = _re.compile(r"^([ZW])\[(\d+)\]\[(\d+)\](?:\^(\d+))?$")

@@ -20,10 +20,10 @@ from .signatures import (
     MixedSignature,
     Signature,
     canonicalize,
+    decreasing,
     pad,
     render,
     shift_mixed,
-    trim,
     weight,
 )
 
@@ -164,17 +164,8 @@ def lr_coefficient(lam: Signature, mu: Signature, nu: Signature) -> int:
 
 
 def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
-    """Decompose the U(k) tensor product of lam and mu."""
-    lam = canonicalize(lam)
-    mu = canonicalize(mu)
-    group = GroupFamily("u", k)  # RankConstraint unless k >= 1
-    if len(lam) > k:
-        raise RankTooSmall(f"factor {list(lam)} needs rank >= {len(lam)}, got {k}")
-    if len(mu) > k:
-        raise RankTooSmall(f"factor {list(mu)} needs rank >= {len(mu)}, got {k}")
-    return Decomposition._new(
-        group, {nu: c for nu, c in _lr_table(lam, mu).items() if len(nu) <= k}
-    )
+    """Decompose the U(k) tensor product of lam and mu, as a two-factor ``tensor_multi``."""
+    return tensor_multi((lam, mu), k)
 
 
 def _fold(factors, k: int, table) -> dict:
@@ -222,8 +213,8 @@ def _mixed_table(sigma: MixedSignature, tau: MixedSignature, k: int) -> dict:
     """
     a = max(0, -sigma[-1]) if sigma else 0
     b = max(0, -tau[-1]) if tau else 0
-    lam = canonicalize(trim(shift_mixed(sigma, a)))
-    mu = canonicalize(trim(shift_mixed(tau, b)))
+    lam = canonicalize(shift_mixed(sigma, a))
+    mu = canonicalize(shift_mixed(tau, b))
     return {shift_mixed(pad(nu, k), -(a + b)): c for nu, c in _lr_table(lam, mu, k).items()}
 
 
@@ -233,4 +224,5 @@ def tensor_mixed(sigma: MixedSignature, tau: MixedSignature, k: int) -> Decompos
         raise RankMismatch(
             f"mixed signatures {list(sigma)}, {list(tau)} must have declared rank {k}"
         )
+    sigma, tau = decreasing(sigma), decreasing(tau)
     return Decomposition._new(GroupFamily("u", k), _mixed_table(sigma, tau, k))

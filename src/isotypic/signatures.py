@@ -24,16 +24,19 @@ def canonicalize(parts) -> Signature:
     caller bugs in multiplicity bookkeeping.  Negative parts belong to
     mixed signatures (see ``mixed``) and are rejected here too.
     """
+    parts = decreasing(parts)
+    if parts and parts[-1] < 0:
+        raise NotDecreasing(f"negative part in signature {list(parts)}")
+    return trim(parts)
+
+
+def decreasing(parts) -> MixedSignature:
+    """The parts as a tuple of ints, rejected unless weakly decreasing."""
     parts = tuple(int(p) for p in parts)
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
-    if parts and parts[-1] < 0:
-        raise NotDecreasing(f"negative part in signature {list(parts)}")
-    end = len(parts)
-    while end > 0 and parts[end - 1] == 0:
-        end -= 1
-    return parts[:end]
+    return parts
 
 
 def weight(sig: Signature) -> int:
@@ -56,10 +59,7 @@ def mixed(parts, rank: int) -> MixedSignature:
     parts = tuple(int(p) for p in parts)
     if len(parts) != rank:
         raise RankConstraint(f"mixed signature {list(parts)} must have exactly {rank} parts")
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
-    return parts
+    return decreasing(parts)
 
 
 def pad(sig: Signature, rank: int) -> MixedSignature:

@@ -262,6 +262,16 @@ def test_fock_hwv_cache_key_ignores_seed(tmp_path, capsys, monkeypatch):
     assert len(built) == 1  # the second run is served from the cache
 
 
+def test_fock_hwv_so_rank1_rejects_several_parts(tmp_path, capsys):
+    """A signature of two parts is an error, not the vector of its first part."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["fock", "hwv", "--kind", "so_rank1", "--sig", "2,1", "--k", "4", "--cache", str(cache)]
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == "BadSignature: signature [2, 1] has more than one part\n"
+    assert not cache.exists() or cache.read_text() == ""
+
+
 def test_cache_ignores_corruption_and_old_versions(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("not json at all\n")

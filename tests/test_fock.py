@@ -37,7 +37,6 @@ from isotypic.fock import (
     weyl_commutator,
     z_var,
     w_var,
-    _linear_images,
 )
 from isotypic.signatures import iter_partitions
 from isotypic.terms import leibniz_det
@@ -599,6 +598,15 @@ def test_hwv_guards():
         hwv("so_rank1", 2, 1, 1)
 
 
+def test_so_rank1_rejects_a_signature_of_several_parts():
+    for data in ((2, 1), (1, 1), [3, 1, 1]):
+        with pytest.raises(BadSignature, match="more than one part"):
+            hwv("so_rank1", data, 1, 4)
+    # One part, trailing zeros trimmed, is the degree.
+    assert hwv("so_rank1", (3, 0), 1, 4) == hwv("so_rank1", 3, 1, 4)
+    assert hwv("so_rank1", (), 1, 4) == hwv("so_rank1", 0, 1, 4)
+
+
 def test_translate_examples():
     shape = FockShape(1, 2)
     f = z_var(shape, 1, 1)
@@ -987,13 +995,16 @@ def _substitution_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_substitution_cases())
 def test_integer_expansion_matches_substitute(case):
-    """The int kernel of the integer-trial oracle against FockPoly.substitute."""
+    """The int kernel of the integer-trial oracle against translate (FockPoly.substitute)."""
     f, m, left = case
     terms = [(index_key(e), c) for e, c in f.terms.items()]
     used = {i for key, _ in terms for i in key}
     re_part, im_part = int_expand(terms, int_images(f.shape, m, left, used))
     got = {key: GaussRat(re_part.get(key, 0), im_part.get(key, 0)) for key in re_part.keys() | im_part.keys()}
-    image = f.substitute(_linear_images(f.shape, m, "left" if left else "right"))
+    if left:
+        image = translate(f, [list(col) for col in zip(*m)], "left_transpose")
+    else:
+        image = translate(f, m, "right")
     assert {key: c for key, c in got.items() if c} == {index_key(e): c for e, c in image.terms.items()}
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import test_output_digest
 from isotypic import branching, lr, stable_limits
 from isotypic.characters import dim, schur_product_decompose
-from isotypic.errors import RankConstraint, RankMismatch, RankTooSmall
+from isotypic.errors import NotDecreasing, RankConstraint, RankMismatch, RankTooSmall
 from isotypic.lr import (
     Decomposition,
     _lr_table,
@@ -187,6 +187,16 @@ def test_tensor_mixed_rank_guard():
         tensor_mixed((1, 0), (0, 0, -1), 3)
 
 
+def test_tensor_mixed_names_the_unsorted_factor():
+    """The order check runs on the caller's parts, not on a shifted image."""
+    with pytest.raises(NotDecreasing, match=r"^parts \[-2, -1\] are not weakly decreasing$"):
+        tensor_mixed((-2, -1), (0, 0), 2)
+    with pytest.raises(NotDecreasing, match=r"^parts \[1, -1, 0\] are not weakly decreasing$"):
+        tensor_mixed((0, 0, 0), (1, -1, 0), 3)
+    with pytest.raises(RankMismatch):
+        tensor_mixed((-2, -1), (0,), 2)
+
+
 def test_tensor_mixed_shift_covariance():
     rng = random.Random(5)
     for _ in range(30):
@@ -277,7 +287,7 @@ def test_trusted_constructor_matches_the_public_one_at_every_call_site(monkeypat
     for lam, mu in product(all_partitions(3), all_partitions(2)):
         tensor_pair(lam, mu, 3)
     assert callers == {
-        "tensor_pair", "tensor_multi", "tensor_mixed", "diagonal_branch",
+        "tensor_multi", "tensor_mixed", "diagonal_branch",
         "restrict_gl_to_so", "restrict_gl_to_sp", "weyl_fold", "_stable_result",
     }
 
