@@ -7,8 +7,9 @@ ad-matrices read off the term maps, the oscillator generators from term
 maps written monomial by monomial, operator conjugation from expanding
 linear forms, Borel covariance from rational and from doubled integer
 substitution on plain dicts, the harmonic projection from lowering
-with X- on Fractions and the SO highest weight vectors from an explicit
-isotropic frame matrix and Leibniz minors, so agreement is meaningful.
+with X- on Fractions, the SO highest weight vectors from an explicit
+isotropic frame matrix and Leibniz minors, and SO characters from Weyl
+alternant ratios by exact Laurent division, so agreement is meaningful.
 """
 
 import random
@@ -690,3 +691,90 @@ def so_hwv_by_frame(mu, n, k):
         for _ in range(part - below):
             out = _poly_mul(out, minor)
     return out
+
+
+# SO(k) characters as ratios of Weyl alternants on the torus (x_1..x_nu),
+# nu = k // 2, as plain {exponents: int} dicts, divided exactly: the
+# reference the package's orthogonal Jacobi-Trudi determinant must match.
+
+
+class InexactDivision(Exception):
+    """A Laurent division that leaves a remainder."""
+
+
+def laurent_div(num, den):
+    """The exact quotient num / den of two Laurent polynomials.
+
+    Lex-leading terms are divided off one at a time.  A quotient term must
+    lie in the Newton box of num minus den, so an inexact division stops
+    there (or at a non-integer coefficient) with InexactDivision.
+    """
+    if not den:
+        raise InexactDivision("division by the zero polynomial")
+    if not num:
+        return {}
+    nvars = len(next(iter(num)))
+    lo = [min(e[i] for e in num) - max(e[i] for e in den) for i in range(nvars)]
+    hi = [max(e[i] for e in num) - min(e[i] for e in den) for i in range(nvars)]
+    lead = max(den)
+    rem = dict(num)
+    quot = {}
+    while rem:
+        top = max(rem)
+        step = tuple(a - b for a, b in zip(top, lead))
+        q, r = divmod(rem[top], den[lead])
+        if r or any(not l <= x <= h for x, l, h in zip(step, lo, hi)):
+            raise InexactDivision(f"no exact quotient term for {list(top)}")
+        quot[step] = q
+        for e, c in den.items():
+            key = tuple(map(add, step, e))
+            rem[key] = rem.get(key, 0) - q * c
+            if not rem[key]:
+                del rem[key]
+    return quot
+
+
+def _int_det(matrix, nvars):
+    """Determinant of a square matrix of {exponents: int} dicts, summed over
+    every permutation with its sign."""
+    size = len(matrix)
+    out = {}
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = {(0,) * nvars: -1 if inversions % 2 else 1}
+        for r in range(size):
+            term = _real_product(term, matrix[r][perm[r]])
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def so_character_by_alternants(mu, k):
+    """The SO(k) character of mu, 2 len(mu) < k, by the Weyl character formula.
+
+    Type B (k = 2 nu + 1) works in y with x = y^2, so rho = (nu - 1/2, ...,
+    1/2) turns integral: entry (i, j) is y_i^a - y_i^-a with a = 2 (mu_j +
+    rho_j), and the quotient's exponents are halved.  Type D (k = 2 nu)
+    has entries x_i^a + x_i^-a with a = mu_j + nu - 1 - j and the column
+    a = 0 halved to 1; as len(mu) < nu the last a is 0, so the alternant
+    with x_i^a - x_i^-a vanishes.
+    """
+    nu, odd = k // 2, k % 2
+    parts = list(mu) + [0] * (nu - len(mu))
+
+    def entry(i, a):
+        if not a:
+            return {(0,) * nu: 1}
+        up = tuple(a if t == i else 0 for t in range(nu))
+        return {up: 1, tuple(-x for x in up): -1 if odd else 1}
+
+    def alternant(shift):
+        exps = [(1 + odd) * (m + nu - 1 - j) + odd for j, m in enumerate(shift)]
+        return _int_det([[entry(i, a) for a in exps] for i in range(nu)], nu)
+
+    quot = laurent_div(alternant(parts), alternant([0] * nu))
+    if not odd:
+        return quot
+    if any(x % 2 for e in quot for x in e):
+        raise InexactDivision("odd exponent in a type B quotient")
+    return {tuple(x // 2 for x in e): c for e, c in quot.items()}

@@ -27,8 +27,9 @@ from isotypic.errors import (
     SignatureTooLong,
 )
 from isotypic.signatures import GroupFamily, iter_partitions
+from isotypic.terms import leibniz_det
 
-from oracles import count_ssyt, invert_exponent
+from oracles import count_ssyt, invert_exponent, so_character_by_alternants
 
 
 def harmonic_dim(k, r):
@@ -136,6 +137,70 @@ def test_so_character_dims_at_ones():
                 assert sum(so_character(mu, k).terms.values()) == dim(
                     GroupFamily("so", k), mu
                 ), (mu, k)
+
+
+# k = 1..7 and |mu| <= 6 with 2 len(mu) < k.
+SO_GRID = [
+    (mu, k)
+    for k in range(1, 8)
+    for w in range(7)
+    for mu in iter_partitions(w, max_length=(k - 1) // 2)
+]
+
+
+def _grid_mismatches(character):
+    return [
+        (mu, k)
+        for mu, k in SO_GRID
+        if character(mu, k).terms != so_character_by_alternants(mu, k)
+    ]
+
+
+def test_so_character_matches_the_alternant_ratio():
+    assert len(SO_GRID) == 71
+    assert _grid_mismatches(so_character) == []
+
+
+def _jacobi_trudi(offset, subtract):
+    """det(h(m - i + j) - h(m - i - j + offset)), or without the subtracted
+    h, with m = mu[i] and h(r) the restricted U(k) character of (r,)."""
+
+    def character(mu, k):
+        one = LaurentPoly.constant(k // 2, 1)
+        zero = one - one
+
+        def h(r):
+            return schur_laurent_on_so_torus((r,), k) if r > 0 else one if r == 0 else zero
+
+        return leibniz_det(
+            [
+                [h(m - i + j) - (h(m - i - j + offset) if subtract else zero) for j in range(len(mu))]
+                for i, m in enumerate(mu)
+            ],
+            one,
+        )
+
+    return character
+
+
+def test_the_alternant_grid_rejects_near_miss_determinants():
+    """The grid tells the orthogonal Jacobi-Trudi determinant (offset -2)
+    from an offset of -1, wrong at every mu but (), and from the plain
+    Jacobi-Trudi determinant, right only at the columns (1, ..., 1)."""
+    assert _grid_mismatches(_jacobi_trudi(-2, True)) == []
+    assert _grid_mismatches(_jacobi_trudi(-1, True)) == [(mu, k) for mu, k in SO_GRID if mu]
+    assert _grid_mismatches(_jacobi_trudi(-2, False)) == [
+        (mu, k) for mu, k in SO_GRID if set(mu) - {1}
+    ]
+
+
+def test_so_characters_share_no_dict_with_the_torus_memo():
+    """Poisoning a memoised SO character must not reach the torus memo."""
+    for mu, k in SO_GRID:
+        chi = so_character(mu, k)
+        memo = [schur_laurent_on_so_torus((r,), k) for r in range(1, sum(mu) + len(mu) + 1)]
+        memo.append(schur_laurent_on_so_torus(mu, k))
+        assert all(chi.terms is not entry.terms for entry in memo), (mu, k)
 
 
 def test_so_character_weyl_invariance():

@@ -31,6 +31,18 @@ def test_fock_imports_neither_the_character_oracle_nor_lr():
     assert {"characters", "lr"}.isdisjoint(names)
 
 
+def test_test_oracles_import_nothing_from_the_package():
+    """The oracles are an independent route only while they share no code."""
+    path = Path(__file__).resolve().parent / "oracles.py"
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert modules and not [m for m in modules if m.split(".")[0] in ("isotypic", "")]
+
+
 def test_fock_decides_covariance_without_sampling():
     """Borel covariance is a decision, not a sample: fock draws nothing at random."""
     assert not hasattr(fock, "random")
