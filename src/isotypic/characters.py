@@ -2,9 +2,10 @@
 
 Everything here verifies the LR/branching combinatorics by a disjoint
 route: GL characters come from semistandard tableau enumeration, SO
-characters from alternant ratios with exact division, and decompositions
-are recovered by greedily peeling highest weights or, for SO, by the
-Weyl-group alternating sum over the dominant weights (`weyl_fold`).
+characters from the orthogonal Jacobi-Trudi determinant of restricted
+one-row characters, and decompositions are recovered by greedily peeling
+highest weights or, for SO, by the Weyl-group alternating sum over the
+dominant weights (`weyl_fold`).
 Characters are ``LaurentPoly`` term maps on the shared core of
 ``isotypic.terms``.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import prod
-from operator import add, index
+from operator import index
 
 from .errors import (
     DivisionNotExact,
@@ -42,10 +43,6 @@ class LaurentPoly(DensePoly):
 
     __slots__ = ()
     _coeff = staticmethod(index)
-
-    @property
-    def nvars(self) -> int:
-        return self.shape
 
     @classmethod
     def constant(cls, nvars, c):
@@ -195,43 +192,13 @@ def weyl_fold(dominant, k: int) -> Decomposition:
     return Decomposition._new(GroupFamily("so", k), found)
 
 
-def laurent_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials under lex term order.
-
-    The quotient's support is confined to the Newton box of num minus
-    den; stepping outside it, or a non-integer coefficient step, raises
-    DivisionNotExact (an implementation bug, never a data error).
-    """
-    if den.is_zero():
-        raise DivisionNotExact("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero(num.nvars)
-    n = num.nvars
-    lo = [min(e[i] for e in num.terms) - max(e[i] for e in den.terms) for i in range(n)]
-    hi = [max(e[i] for e in num.terms) - min(e[i] for e in den.terms) for i in range(n)]
-    eb = max(den.terms)
-    cb = den.terms[eb]
-    rem = dict(num.terms)
-    quot: dict = {}
-    while rem:
-        er = max(rem)
-        cr = rem[er]
-        et = tuple(a - b for a, b in zip(er, eb))
-        if any(e < l or e > h for e, l, h in zip(et, lo, hi)):
-            raise DivisionNotExact("quotient term outside Newton box")
-        q, r = divmod(cr, cb)
-        if r:
-            raise DivisionNotExact("non-integer quotient coefficient")
-        quot[et] = q
-        for e2, c2 in den.terms.items():
-            add_into(rem, tuple(map(add, et, e2)), -q * c2)
-    return LaurentPoly._new(n, quot)
-
-
 @lru_cache(maxsize=1 << 10)
 def so_character(mu: Signature, k: int) -> LaurentPoly:
-    """Irreducible SO(k) character as an exact alternant ratio.
+    """Irreducible SO(k) character by the orthogonal Jacobi-Trudi determinant.
 
+    o_mu = det(h(mu_i - i + j) - h(mu_i - i - j - 2)), i, j counted from 0
+    (K. Koike and I. Terada, J. Algebra 107 (1987) 466-511), where h(r) is
+    the restricted U(k) character of (r,), 1 at r = 0 and 0 below.
     Requires length(mu) < k/2 so the highest weight is away from the
     self-associated split of the even orthogonal groups.
     """
@@ -242,54 +209,16 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
         raise SignatureTooLong(
             f"need length(mu) < k/2; got {list(mu)} at k={k}"
         )
-    nu = k // 2
-    if nu == 0:
-        return LaurentPoly.constant(0, 1)
-    mup = pad(mu, nu)
-    one = LaurentPoly.constant(nu, 1)
+    one = LaurentPoly.constant(k // 2, 1)
+    zero = one - one
 
-    def alternant(entry, exps):
-        return leibniz_det([[entry(i, e) for e in exps] for i in range(nu)], one)
+    def h(r):
+        return schur_laurent_on_so_torus((r,), k) if r > 0 else one if r == 0 else zero
 
-    if k % 2 == 1:
-        # B case: work in y with x = y^2 so the half-integer rho becomes
-        # integral, then halve the (necessarily even) exponents.
-        tops = [2 * (mup[j] + nu - j - 1) + 1 for j in range(nu)]
-        bots = [2 * (nu - j - 1) + 1 for j in range(nu)]
-
-        def odd_entry(i, e):
-            return LaurentPoly(
-                nu,
-                {
-                    tuple(e if t == i else 0 for t in range(nu)): 1,
-                    tuple(-e if t == i else 0 for t in range(nu)): -1,
-                },
-            )
-
-        quot = laurent_exact_div(alternant(odd_entry, tops), alternant(odd_entry, bots))
-        halved = {}
-        for e, c in quot.terms.items():
-            if any(x % 2 for x in e):
-                raise DivisionNotExact("odd exponent after B-type division")
-            halved[tuple(x // 2 for x in e)] = c
-        return LaurentPoly._new(nu, halved)
-    # D case: mu has length < nu, so the last column exponent is 0 and
-    # the halved-column convention applies to both alternants.
-    tops = [mup[j] + nu - j - 1 for j in range(nu)]
-    bots = [nu - j - 1 for j in range(nu)]
-
-    def even_entry(i, e):
-        if e == 0:
-            return one
-        return LaurentPoly(
-            nu,
-            {
-                tuple(e if t == i else 0 for t in range(nu)): 1,
-                tuple(-e if t == i else 0 for t in range(nu)): 1,
-            },
-        )
-
-    return laurent_exact_div(alternant(even_entry, tops), alternant(even_entry, bots))
+    size = len(mu)
+    return leibniz_det(
+        [[h(m - i + j) - h(m - i - j - 2) for j in range(size)] for i, m in enumerate(mu)], one
+    )
 
 
 def dim(group: GroupFamily, sig: Signature) -> int:
