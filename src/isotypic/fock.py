@@ -751,17 +751,19 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
     """Highest weight vectors of the dual-pair modules.
 
     kind "gl": data is a signature, vector is a product of principal
-    minors of Z.  kind "so_rank1": data is a degree r, vector is the r-th
-    power of an isotropic linear form.  kind "so_general": data is a
-    signature, vector is a product of principal minors of Z*q for the
-    isotropic frame q.  kind "upq": data is a pair (nu, lam) and n a pair
-    (p, q); vector is the product of Z-minors for nu and reversed W-minors
-    for the contragredient lam.
+    minors of Z.  kind "so_rank1": data is a degree r and n is 1, vector
+    is the r-th power of an isotropic linear form.  kind "so_general":
+    data is a signature, vector is a product of principal minors of Z*q
+    for the isotropic frame q.  kind "upq": data is a pair (nu, lam) and
+    n a pair (p, q); vector is the product of Z-minors for nu and
+    reversed W-minors for the contragredient lam.  A rank below 1 that
+    passes the signature checks raises RankTooSmall.
     """
     if kind == "gl":
         lam = canonicalize(data)
         if len(lam) > n or len(lam) > k:
             raise BadSignature(f"signature {list(lam)} needs n, k >= {len(lam)}")
+        _require_positive("highest weight vectors", n=n, k=k)
         shape = FockShape(n, k)
         return _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), lam, shape)
     if kind == "so_rank1":
@@ -771,12 +773,13 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         r = sig[0] if sig else 0
         if r < 0:
             raise BadSignature(f"degree must be nonnegative, got {r}")
-        shape = FockShape(1, k)
-        if r == 0:
-            return FockPoly.constant(shape, 1)
-        if k < 2:
+        if r and k < 2:
             raise BadSignature("isotropic vectors need k >= 2")
-        return _isotropic(shape, 0, 0) ** r
+        if n != 1:
+            raise BadSignature(f"an isotropic linear form needs n = 1, got n={n}")
+        _require_positive("highest weight vectors", k=k)
+        shape = FockShape(1, k)
+        return _isotropic(shape, 0, 0) ** r if r else FockPoly.constant(shape, 1)
     if kind == "so_general":
         mu = canonicalize(data)
         if len(mu) > n:
@@ -785,6 +788,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
             raise BadSignature(
                 f"signature {list(mu)} needs {2 * len(mu)} <= k, got k={k}"
             )
+        _require_positive("highest weight vectors", n=n, k=k)
         shape = FockShape(n, k)
         return _minor_product(lambda r, c: _isotropic(shape, r, c), mu, shape)
     if kind == "upq":
@@ -796,6 +800,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
             raise BadSignature("signatures must fit the (p, q) block sizes")
         if len(nu_sig) + len(lam_sig) > k:
             raise BadSignature("blocks overlap: need len(nu) + len(lam) <= k")
+        _require_positive("highest weight vectors", p=p, q=q, k=k)
         shape = FockShape(p, k, q)
         left = _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), nu_sig, shape)
         # Reversed block: entry (a, b) of the flipped W matrix.

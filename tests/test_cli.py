@@ -272,6 +272,17 @@ def test_fock_hwv_so_rank1_rejects_several_parts(tmp_path, capsys):
     assert not cache.exists() or cache.read_text() == ""
 
 
+def test_fock_hwv_so_rank1_rejects_more_than_one_row(tmp_path, capsys):
+    """--n other than 1 is an error with no cache record, not a one-row vector."""
+    cache = tmp_path / "cache.jsonl"
+    args = ["fock", "hwv", "--kind", "so_rank1", "--sig", "2", "--n", "3", "--k", "4",
+            "--json", "--cache", str(cache)]
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == "BadSignature: an isotropic linear form needs n = 1, got n=3\n"
+    assert not cache.exists() or cache.read_text() == ""
+
+
 def test_cache_ignores_corruption_and_old_versions(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("not json at all\n")

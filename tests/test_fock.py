@@ -606,6 +606,38 @@ def test_so_rank1_rejects_a_signature_of_several_parts():
     assert hwv("so_rank1", (), 1, 4) == hwv("so_rank1", 0, 1, 4)
 
 
+def test_so_rank1_lives_on_one_row():
+    """n other than 1 is an error, not the one-row vector reported at n."""
+    for n in (0, 2, 3):
+        with pytest.raises(BadSignature, match=f"^an isotropic linear form needs n = 1, got n={n}$"):
+            hwv("so_rank1", 2, n, 4)
+    assert hwv("so_rank1", 2, 1, 4).shape == FockShape(1, 4)
+
+
+def test_hwv_needs_positive_ranks():
+    """A shape with no variables raises RankTooSmall, as the generators do;
+    a signature error keeps its class."""
+    for call, message in (
+        (lambda: hwv("gl", (), 0, 0), "n >= 1, got n=0"),
+        (lambda: hwv("gl", (), 1, 0), "k >= 1, got k=0"),
+        (lambda: hwv("so_general", (), 1, 0), "k >= 1, got k=0"),
+        (lambda: hwv("so_general", (), 0, 3), "n >= 1, got n=0"),
+        (lambda: hwv("upq", ((), ()), (0, 0), 0), "p >= 1, got p=0"),
+        (lambda: hwv("upq", ((), ()), (1, 0), 2), "q >= 1, got q=0"),
+        (lambda: hwv("so_rank1", 0, 1, 0), "k >= 1, got k=0"),
+    ):
+        with pytest.raises(RankTooSmall, match=f"^highest weight vectors needs {message}$"):
+            call()
+    for call in (
+        lambda: hwv("gl", (1,), 0, 1),
+        lambda: hwv("so_general", (1,), 1, 0),
+        lambda: hwv("upq", ((1,), ()), (0, 1), 1),
+        lambda: hwv("so_rank1", 1, 1, 0),
+    ):
+        with pytest.raises(BadSignature):
+            call()
+
+
 def test_translate_examples():
     shape = FockShape(1, 2)
     f = z_var(shape, 1, 1)
