@@ -1,4 +1,5 @@
 import signal
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -153,12 +154,13 @@ SO_GRID = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _alternant_ratio(mu, k):
+    return so_character_by_alternants(mu, k)
+
+
 def _grid_mismatches(character):
-    return [
-        (mu, k)
-        for mu, k in SO_GRID
-        if character(mu, k).terms != so_character_by_alternants(mu, k)
-    ]
+    return [(mu, k) for mu, k in SO_GRID if character(mu, k).terms != _alternant_ratio(mu, k)]
 
 
 def test_so_character_matches_the_alternant_ratio():
