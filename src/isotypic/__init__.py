@@ -7,7 +7,6 @@ __version__ = "0.1.1"
 from . import errors
 from .branching import (
     ReciprocityReport,
-    branch_rank1_closed_form,
     diagonal_branch,
     dual_side_multiplicity,
     reciprocity_check,
@@ -56,9 +55,7 @@ from .lr import (
 from .signatures import (
     GroupFamily,
     canonicalize,
-    conjugate,
     iter_partitions,
-    mixed,
     pad,
     parse,
     render,

@@ -97,12 +97,6 @@ def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
     return Decomposition._new(GroupFamily("sp", k), terms)
 
 
-def branch_rank1_closed_form(m: int) -> Decomposition:
-    """Closed form of the rank-1 branching tower: one copy of (m-2i) each."""
-    terms = {(m - 2 * i,) if m - 2 * i else (): 1 for i in range(m // 2 + 1)}
-    return Decomposition(GroupFamily("so", "stable"), terms)
-
-
 def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     """Multiplicity of the U(n)-type lam in the dual module over mu.
 

@@ -48,10 +48,6 @@ class LaurentPoly(DensePoly):
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
-
     def __repr__(self):
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in sorted(self.terms.items(), reverse=True))
         return f"<LaurentPoly {body or '0'}>"

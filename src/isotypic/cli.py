@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import __version__
@@ -27,11 +26,10 @@ from .characters import dim
 from .errors import IsotypicError
 from .fock import (
     FockShape,
-    _build_poly,
-    _tokenize_poly,
     check_covariance,
     hwv,
     pairing,
+    parse_poly,
     render_poly,
     sp2n_generators,
     supq_laplacians,
@@ -44,16 +42,6 @@ from .signatures import GroupFamily, decreasing, parse, render
 from .stable_limits import identity_multiplicity, stable_branch, stable_tensor
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One append-only cache entry."""
-
-    key: str
-    query: str
-    result: dict
-    engine_version: str
-
-
 def decomposition_to_json(dec: Decomposition, k0=None) -> dict:
     obj: dict = {"group": {"family": dec.group.family, "rank": dec.group.rank}}
     if k0 is not None:
@@ -62,13 +50,6 @@ def decomposition_to_json(dec: Decomposition, k0=None) -> dict:
         {"signature": list(sig), "mult": mult} for sig, mult in dec.items()
     ]
     return obj
-
-
-def decomposition_from_json(obj: dict) -> Decomposition:
-    group = GroupFamily(obj["group"]["family"], obj["group"]["rank"])
-    return Decomposition(
-        group, {tuple(t["signature"]): t["mult"] for t in obj["terms"]}
-    )
 
 
 def parse_mixed_text(text: str):
@@ -311,11 +292,11 @@ def _fock_hwv_result(args):
 
 
 def _fock_pair_result(args):
-    (first, ext1), (second, ext2) = (_tokenize_poly(text) for text in args.exprs)
+    ext1, ext2 = (parse_poly(text).shape for text in args.exprs)
     shape = FockShape(
         max(ext1.rows, ext2.rows), max(ext1.cols, ext2.cols), max(ext1.wrows, ext2.wrows)
     )
-    first, second = _build_poly(first, shape), _build_poly(second, shape)
+    first, second = (parse_poly(text, shape) for text in args.exprs)
     query = f"fock-pair|{render_poly(first)}|{render_poly(second)}"
     return query, lambda: {"value": str(pairing(first, second))}
 
@@ -337,16 +318,17 @@ def canonical_key(query: str) -> str:
 
 
 def cache_get(path: str, key: str):
-    """Look a record up by key; corrupt lines are skipped, never fatal.
+    """The record dict stored under key, or None; corrupt lines are skipped.
 
     ``cache_put`` writes every record with its key first, so a line that
     starts ``{"key": "`` with another key is skipped without being
     parsed.  Every other line (the candidate, blank lines, garbage, a
     record with its fields in another order) is parsed and checked as a
-    whole, and a line that does not parse draws a "corrupt" warning on
-    stderr.  A damaged record under another key is therefore skipped in
-    silence.  Skipping can only turn a hit into a miss, never serve a
-    record of another query.
+    whole.  A line that does not parse, or a record under this key and
+    version without a string ``query`` and a dict ``result``, draws a
+    "corrupt" warning on stderr.  A damaged record under another key is
+    therefore skipped in silence.  Skipping can only turn a hit into a
+    miss, never serve a record of another query.
     """
     other = '{"key": "'
     mine = '{"key": ' + json.dumps(key)
@@ -368,9 +350,9 @@ def cache_get(path: str, key: str):
                     and rec.get("key") == key
                     and rec.get("engine_version") == __version__
                 ):
-                    return QueryRecord(
-                        rec["key"], rec["query"], rec["result"], rec["engine_version"]
-                    )
+                    if isinstance(rec.get("query"), str) and isinstance(rec.get("result"), dict):
+                        return rec
+                    print("warning: skipping corrupt cache line", file=sys.stderr)
     except FileNotFoundError:
         return None
     except OSError as exc:
@@ -378,7 +360,7 @@ def cache_get(path: str, key: str):
     return None
 
 
-def cache_put(path: str, record: QueryRecord):
+def cache_put(path: str, record: dict):
     """Append one record under an advisory lock; failures only warn."""
     try:
         with open(path, "a", encoding="utf-8") as handle:
@@ -388,7 +370,7 @@ def cache_put(path: str, record: QueryRecord):
                 fcntl.flock(handle, fcntl.LOCK_EX)
             except (ImportError, OSError):
                 pass
-            handle.write(json.dumps(asdict(record)) + "\n")
+            handle.write(json.dumps(record) + "\n")
     except OSError as exc:
         print(f"warning: cache write failed: {exc}", file=sys.stderr)
 
@@ -401,9 +383,10 @@ def _execute(args) -> dict:
     key = canonical_key(query)
     hit = cache_get(cache_path, key)
     if hit is not None:
-        return hit.result
+        return hit["result"]
     result = compute()
-    cache_put(cache_path, QueryRecord(key, query, result, __version__))
+    record = {"key": key, "query": query, "result": result, "engine_version": __version__}
+    cache_put(cache_path, record)
     return result
 
 

@@ -302,14 +302,6 @@ class FockPoly(DensePoly):
     def conj(self):
         return FockPoly._new(self.shape, {e: c.conj() for e, c in self.terms.items()})
 
-    def diff(self, idx: int) -> "FockPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[idx]:
-                new = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
-                out[new] = c * e[idx]
-        return FockPoly._new(self.shape, out)
-
     def degree(self):
         if not self.terms:
             return None
@@ -384,11 +376,6 @@ class WeylOp(TermMap):
     @staticmethod
     def _key(key):
         return (tuple(key[0]), tuple(key[1]))
-
-    @classmethod
-    def identity(cls, shape):
-        zero = (0,) * shape.nvars
-        return cls._new(shape, {(zero, zero): GaussRat(1)})
 
     @classmethod
     def multiplication(cls, f: FockPoly) -> "WeylOp":
@@ -792,6 +779,8 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         shape = FockShape(n, k)
         return _minor_product(lambda r, c: _isotropic(shape, r, c), mu, shape)
     if kind == "upq":
+        if len(data) != 2 or len(n) != 2:
+            raise BadSignature("upq needs data = (nu, lam) and n = (p, q)")
         nu_sig, lam_sig = data
         p, q = n
         nu_sig = canonicalize(nu_sig)
@@ -809,7 +798,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
     raise BadSignature(f"unknown highest weight vector kind {kind!r}")
 
 
-def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: int = 0) -> bool:
+def check_covariance(f: FockPoly, side: str, exponents, seed: int = 0) -> bool:
     """Decide Borel covariance of f with the polarization operators.
 
     side "left_lower" asks whether f(B Z) = F f for every invertible
@@ -817,9 +806,9 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
     "right_upper" whether f(Z B) = F f, W too moving as W B, for every
     upper-triangular B on the column index.  F is the product of the
     diagonal entries of B to the exponents.  A False return is a result,
-    not an error.  Negative exponents raise BadSignature and fewer than
-    one trial ValueError; `trials` and `seed` are validated but no longer
-    change the verdict.
+    not an error.  Negative exponents raise BadSignature.  `seed` changes
+    nothing; it is accepted because callers that once sampled random
+    matrices, the benchmark workloads among them, still pass it.
 
     The Borel group is connected and f is a polynomial, so covariance is
     its infinitesimal form (R. Howe, "Remarks on classical invariant
@@ -841,8 +830,6 @@ def check_covariance(f: FockPoly, side: str, exponents, trials: int = 8, seed: i
         raise BadSignature(f"{len(exponents)} exponents for {size} diagonal entries")
     if any(x < 0 for x in exponents):
         raise BadSignature("covariance exponents must be nonnegative")
-    if trials < 1:
-        raise ValueError(f"covariance needs at least one trial, got trials={trials}")
     exponents = exponents + (0,) * (size - len(exponents))
     cols = shape.cols
     # groups[a] lists the variables of index a: Z-row a, or column a over Z and W.
@@ -1013,8 +1000,14 @@ def _tokenize_poly(text: str, shape: FockShape | None = None):
     return terms, extent
 
 
-def _build_poly(terms, shape: FockShape) -> FockPoly:
-    """The polynomial of tokenized `terms` at a shape covering their extent."""
+def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
+    """Parse the canonical polynomial text form.
+
+    When no shape is supplied, the smallest shape covering every
+    mentioned variable is used.
+    """
+    terms, extent = _tokenize_poly(text, shape)
+    shape = shape or extent
     out: dict = {}
     for coeff, variables in terms:
         if not coeff:
@@ -1025,13 +1018,3 @@ def _build_poly(terms, shape: FockShape) -> FockPoly:
             exps[idx] += power
         add_into(out, tuple(exps), coeff)
     return FockPoly._new(shape, out)
-
-
-def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
-    """Parse the canonical polynomial text form.
-
-    When no shape is supplied, the smallest shape covering every
-    mentioned variable is used.
-    """
-    terms, extent = _tokenize_poly(text, shape)
-    return _build_poly(terms, shape or extent)

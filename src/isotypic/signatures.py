@@ -22,7 +22,7 @@ def canonicalize(parts) -> Signature:
 
     Unsorted input is rejected, never repaired: silent sorting would hide
     caller bugs in multiplicity bookkeeping.  Negative parts belong to
-    mixed signatures (see ``mixed``) and are rejected here too.
+    mixed signatures (see ``decreasing``) and are rejected here too.
     """
     parts = decreasing(parts)
     if parts and parts[-1] < 0:
@@ -41,25 +41,6 @@ def decreasing(parts) -> MixedSignature:
 
 def weight(sig: Signature) -> int:
     return sum(sig)
-
-
-def conjugate(sig: Signature) -> Signature:
-    """Transpose the Young diagram. Involution; preserves weight."""
-    if not sig:
-        return ()
-    cols = [0] * sig[0]
-    for part in sig:
-        for i in range(part):
-            cols[i] += 1
-    return tuple(cols)
-
-
-def mixed(parts, rank: int) -> MixedSignature:
-    """Validate a mixed signature of the given ambient rank."""
-    parts = tuple(int(p) for p in parts)
-    if len(parts) != rank:
-        raise RankConstraint(f"mixed signature {list(parts)} must have exactly {rank} parts")
-    return decreasing(parts)
 
 
 def pad(sig: Signature, rank: int) -> MixedSignature:

@@ -11,7 +11,7 @@ edge.  The probes are the length-filtered tables at k_start, ..., k0 + step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .branching import restrict_gl_to_so, restrict_gl_to_sp
 from .lr import Decomposition, _mixed_table, contragredient, tensor_multi
@@ -24,7 +24,7 @@ class StableResult:
 
     stable: Decomposition
     k0: int
-    probes: tuple = field(default_factory=tuple)  # of (k, Decomposition)
+    probes: tuple  # of (k, Decomposition)
 
 
 def _stable_result(dec: Decomposition, k_start: int, k0: int, step: int = 1):

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: LR coefficients come from
 enumerating every raw filling of the skew diagram, dimensions from a
-standalone tableau counter, quadratic operator identities from
+standalone tableau counter, conjugate diagrams from counting parts, the
+rank-1 stable branching from its closed form, quadratic operator identities from
 ad-matrices read off the term maps, the oscillator generators from term
 maps written monomial by monomial, operator conjugation from expanding
 linear forms, Borel covariance from rational and from doubled integer
@@ -92,6 +93,16 @@ def count_ssyt(shape, k):
 
     fill(0)
     return total
+
+
+def conjugate(sig):
+    """Transpose the Young diagram: the LR conjugation-symmetry oracle."""
+    return tuple(sum(1 for part in sig if part > i) for i in range(sig[0] if sig else 0))
+
+
+def branch_rank1_closed_form(m):
+    """The stable SO branching of (m): one copy of each (m - 2i)."""
+    return {(m - 2 * i,) if m - 2 * i else (): 1 for i in range(m // 2 + 1)}
 
 
 def invert_exponent(terms, i):

@@ -5,7 +5,6 @@ import pytest
 from isotypic.branching import (
     _even_row_partitions,
     _littlewood_terms,
-    branch_rank1_closed_form,
     diagonal_branch,
     dual_side_multiplicity,
     reciprocity_check,
@@ -16,6 +15,7 @@ from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
 from isotypic.errors import OddRank, OutsideStableRange, RankTooSmall
 from isotypic.lr import tensor_pair
 from isotypic.signatures import GroupFamily, iter_partitions, weight
+from oracles import branch_rank1_closed_form
 
 
 def test_restrict_so_examples():
@@ -40,14 +40,14 @@ def test_restrict_guards():
 
 
 def test_rank1_closed_form():
-    assert branch_rank1_closed_form(3).terms == {(3,): 1, (1,): 1}
-    assert branch_rank1_closed_form(0).terms == {(): 1}
-    assert branch_rank1_closed_form(4).terms == {(4,): 1, (2,): 1, (): 1}
+    assert branch_rank1_closed_form(3) == {(3,): 1, (1,): 1}
+    assert branch_rank1_closed_form(0) == {(): 1}
+    assert branch_rank1_closed_form(4) == {(4,): 1, (2,): 1, (): 1}
 
 
 def test_rank1_tower_matches_closed_form():
     for m in range(13):
-        closed = branch_rank1_closed_form(m).terms
+        closed = branch_rank1_closed_form(m)
         for k in range(5, 10):
             assert restrict_gl_to_so((m,) if m else (), k).terms == closed
 

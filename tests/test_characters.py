@@ -45,12 +45,12 @@ def harmonic_dim(k, r):
 
 
 def test_laurent_arithmetic():
-    x = LaurentPoly.monomial(1, (1,))
-    xinv = LaurentPoly.monomial(1, (-1,))
+    x = LaurentPoly(1, {(1,): 1})
+    xinv = LaurentPoly(1, {(-1,): 1})
     assert (x + xinv) * (x + xinv) == (
-        LaurentPoly.monomial(1, (2,))
+        LaurentPoly(1, {(2,): 1})
         + LaurentPoly.constant(1, 2)
-        + LaurentPoly.monomial(1, (-2,))
+        + LaurentPoly(1, {(-2,): 1})
     )
     assert (x - x).is_zero()
     assert sum((3 * x).terms.values()) == 3
@@ -58,11 +58,11 @@ def test_laurent_arithmetic():
 
 
 def test_laurent_exact_division():
-    x = LaurentPoly.monomial(1, (1,))
+    x = LaurentPoly(1, {(1,): 1})
     one = LaurentPoly.constant(1, 1)
-    num = LaurentPoly.monomial(1, (3,)) - LaurentPoly.monomial(1, (-3,))
-    den = x - LaurentPoly.monomial(1, (-1,))
-    expected = LaurentPoly.monomial(1, (2,)) + one + LaurentPoly.monomial(1, (-2,))
+    num = LaurentPoly(1, {(3,): 1}) - LaurentPoly(1, {(-3,): 1})
+    den = x - LaurentPoly(1, {(-1,): 1})
+    expected = LaurentPoly(1, {(2,): 1}) + one + LaurentPoly(1, {(-2,): 1})
     assert laurent_div(num.terms, den.terms) == expected.terms
     with pytest.raises(InexactDivision):
         laurent_div((x + one).terms, den.terms)
@@ -116,6 +116,14 @@ def test_schur_torus_examples():
     assert schur_laurent_on_so_torus((1,), 2).terms == {(1,): 1, (-1,): 1}
     with pytest.raises(RankTooLarge):
         schur_laurent_on_so_torus((1,), 8)
+
+
+def test_schur_torus_takes_signatures_as_long_as_the_rank():
+    """Only a signature longer than k is too long: det restricts to 1 on SO(k)."""
+    assert schur_laurent_on_so_torus((1, 1), 2).terms == {(0,): 1}
+    assert schur_laurent_on_so_torus((1, 1, 1), 3).terms == {(0,): 1}
+    with pytest.raises(RankConstraint):
+        schur_laurent_on_so_torus((1, 1, 1), 2)
 
 
 def test_so_character_examples():

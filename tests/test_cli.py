@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import isotypic
 from isotypic import cli
 from isotypic.cli import (
-    decomposition_from_json,
     decomposition_to_json,
     run,
 )
@@ -218,7 +216,8 @@ def test_fock_pair_zero_denominator_is_usage_error():
 def test_json_round_trip():
     dec = tensor_multi([(2,), (1, 1)], 3)
     obj = json.loads(json.dumps(decomposition_to_json(dec)))
-    assert decomposition_from_json(obj) == dec
+    assert obj["group"] == {"family": dec.group.family, "rank": dec.group.rank}
+    assert {tuple(t["signature"]): t["mult"] for t in obj["terms"]} == dec.terms
     stable_obj = decomposition_to_json(dec, k0=3)
     assert stable_obj["k0"] == 3
 
@@ -328,12 +327,13 @@ def test_cache_lookup_parses_only_the_candidate(tmp_path, monkeypatch):
     """Records that cache_put wrote under other keys are skipped unparsed."""
     cache = str(tmp_path / "cache.jsonl")
     for i in range(2000):
-        cli.cache_put(cache, cli.QueryRecord(
-            cli.canonical_key(f"dim|u|rank=3|{i}"), f"dim|u|rank=3|{i}", {"dim": i},
-            isotypic.__version__,
-        ))
+        cli.cache_put(cache, {
+            "key": cli.canonical_key(f"dim|u|rank=3|{i}"), "query": f"dim|u|rank=3|{i}",
+            "result": {"dim": i}, "engine_version": isotypic.__version__,
+        })
     key = cli.canonical_key("dim|u|rank=2|8")
-    wanted = cli.QueryRecord(key, "dim|u|rank=2|8", {"dim": 9}, isotypic.__version__)
+    wanted = {"key": key, "query": "dim|u|rank=2|8", "result": {"dim": 9},
+              "engine_version": isotypic.__version__}
     cli.cache_put(cache, wanted)
     calls = []
 
@@ -359,11 +359,11 @@ def _cached_dim_query(tmp_path, capsys):
 
 def test_cache_skips_damaged_record_of_another_key(tmp_path, capsys):
     args, cache, line = _cached_dim_query(tmp_path, capsys)
-    other = json.dumps(asdict(cli.QueryRecord(
-        cli.canonical_key("dim|u|rank=3|1"), "dim|u|rank=3|1",
-        {"group": {"family": "u", "rank": 3}, "signature": [1], "dim": 3},
-        isotypic.__version__,
-    )))
+    other = json.dumps({
+        "key": cli.canonical_key("dim|u|rank=3|1"), "query": "dim|u|rank=3|1",
+        "result": {"group": {"family": "u", "rank": 3}, "signature": [1], "dim": 3},
+        "engine_version": isotypic.__version__,
+    })
     cache.write_text(other[: len(other) // 2] + "\n" + line)
     before = cache.read_text()
     assert invoke(capsys, *args) == (0, "9\n", "")
@@ -377,6 +377,24 @@ def test_cache_reports_damaged_record_of_its_own_key(tmp_path, capsys):
     assert (code, out) == (0, "9\n") and "corrupt" in err
     lines = cache.read_text().splitlines()
     assert len(lines) == 2 and lines[1] + "\n" == line
+
+
+def test_cache_skips_own_key_record_without_query_or_dict_result(tmp_path, capsys):
+    """A record under the query's key is served only with its query and a dict result."""
+    args, cache, line = _cached_dim_query(tmp_path, capsys)
+    record = json.loads(line)
+    damaged = [
+        {key: value for key, value in record.items() if key != "query"},
+        {key: value for key, value in record.items() if key != "result"},
+        dict(record, result=[1]),
+    ]
+    for bad in damaged:
+        cache.write_text(json.dumps(bad) + "\n")
+        code, out, err = invoke(capsys, *args)
+        assert (code, out) == (0, "9\n")
+        assert err == "warning: skipping corrupt cache line\n"
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and lines[1] + "\n" == line
 
 
 def test_cache_serves_record_with_fields_in_another_order(tmp_path, capsys):

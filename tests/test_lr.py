@@ -21,7 +21,6 @@ from isotypic.lr import (
 from isotypic.signatures import (
     GroupFamily,
     canonicalize,
-    conjugate,
     iter_partitions,
     pad,
     shift_mixed,
@@ -29,7 +28,7 @@ from isotypic.signatures import (
     weight,
 )
 
-from oracles import brute_lr
+from oracles import brute_lr, conjugate
 
 # The stable table of the quadruple product, frozen with the terms that
 # first appear at each rank.

@@ -3,7 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import isotypic
-from isotypic import branching, characters, fock, lr
+from isotypic import branching, characters, cli, fock, lr
 
 
 def test_library_has_no_assert_statements():
@@ -16,6 +16,58 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_package_name_is_used_or_exported():
+    """API that only tests call does not belong in the package.
+
+    Every top-level function or class and every non-dunder method must be
+    imported by ``isotypic/__init__`` or named (as a Name, an Attribute or
+    an imported alias) somewhere in ``src/isotypic`` outside its own body.
+    """
+    root = Path(isotypic.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+    uses = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom):
+                uses.extend((alias.name, node) for alias in node.names)
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    unused = []
+    for qualname, node in definitions:
+        body = {id(inner) for inner in ast.walk(node)}
+        if not any(name == node.name and id(use) not in body for name, use in uses):
+            unused.append(qualname)
+    assert unused == []
+
+
+def test_cli_imports_no_private_package_name():
+    """The CLI stands on the package's public names alone."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "isotypic")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_fock_imports_neither_the_character_oracle_nor_lr():

@@ -10,7 +10,7 @@ from isotypic.stable_limits import (
     stable_branch,
     stable_tensor,
 )
-from oracles import ProbeCapReached, probe_until_stable
+from oracles import ProbeCapReached, branch_rank1_closed_form, probe_until_stable
 
 QUAD_STABLE = {
     (8,): 1, (7, 1): 3, (6, 2): 5, (5, 3): 5, (4, 4): 2,
@@ -136,11 +136,9 @@ def test_stable_branch_sp_probes_even_ranks():
 
 
 def test_stable_branch_rank1_tower():
-    from isotypic.branching import branch_rank1_closed_form
-
     for m in range(11):
         res = stable_branch((m,) if m else (), "so")
-        assert res.stable.terms == branch_rank1_closed_form(m).terms
+        assert res.stable.terms == branch_rank1_closed_form(m)
 
 
 def test_identity_multiplicity_examples():
