@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .characters import _torus_dominant_weights, weyl_fold
 from .errors import OddRank, OutsideStableRange, RankTooSmall
-from .lr import Decomposition, _fold, _lr_table, _mixed_table, contragredient, tensor_multi
+from .lr import Decomposition, _fold, _lr_table, _mixed_table, _product, contragredient
 from .signatures import (
     GroupFamily,
     Signature,
@@ -159,7 +159,7 @@ def diagonal_branch(factors, k: int) -> Decomposition:
         if len(sig) > k:
             raise RankTooSmall(f"factor {list(sig)} needs rank >= {len(sig)}, got {k}")
     if not any(flag for _, flag in prepared):
-        return tensor_multi([sig for sig, _ in prepared], k)
+        return Decomposition._new(GroupFamily("u", k), _product([s for s, _ in prepared], k))
     mixed = [
         contragredient(pad(sig, k)) if flag else pad(sig, k)
         for sig, flag in prepared

@@ -299,9 +299,6 @@ class FockPoly(DensePoly):
             n >>= 1
         return out
 
-    def conj(self):
-        return FockPoly._new(self.shape, {e: c.conj() for e, c in self.terms.items()})
-
     def degree(self):
         if not self.terms:
             return None

@@ -6,8 +6,8 @@ returns every c^nu_{lam,mu} at once, in a bounded memo keyed by the
 canonical factors.  Single coefficients, products at a rank, and iterated
 and mixed (contragredient) products all read these tables; the mixed
 products pass their rank, so the search never opens a row past it.
-Results built from these clean tables go through the trusted
-`Decomposition._new`.
+Public entries check each signature once and build results with the trusted
+`Decomposition._new`; internal callers use `_product` and `_mixed_table`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .signatures import (
     pad,
     render,
     shift_mixed,
+    trim,
     weight,
 )
 
@@ -182,21 +183,22 @@ def _fold(factors, k: int, table) -> dict:
     return acc
 
 
-def tensor_multi(factors, k: int) -> Decomposition:
-    """Iterated U(k) tensor product; result is association independent.
+def _product(factors, k: int) -> dict:
+    """The U(k) product of canonical factors of length <= k as ``{sig: mult}``,
+    multiplied lightest first to keep the intermediate tables small."""
+    if not factors:
+        return {(): 1}
+    return _fold(sorted(factors, key=lambda f: (weight(f), f)), k, _lr_table)
 
-    Factors are multiplied in ascending weight order to keep the
-    intermediate tables small.
-    """
+
+def tensor_multi(factors, k: int) -> Decomposition:
+    """Iterated U(k) tensor product; result is association independent."""
     factors = [canonicalize(f) for f in factors]
     group = GroupFamily("u", k)  # RankConstraint unless k >= 1
     for f in factors:
         if len(f) > k:
             raise RankTooSmall(f"factor {list(f)} needs rank >= {len(f)}, got {k}")
-    if not factors:
-        return Decomposition._new(group, {(): 1})
-    factors.sort(key=lambda f: (weight(f), f))
-    return Decomposition._new(group, _fold(factors, k, _lr_table))
+    return Decomposition._new(group, _product(factors, k))
 
 
 def contragredient(sig: MixedSignature) -> MixedSignature:
@@ -207,14 +209,14 @@ def contragredient(sig: MixedSignature) -> MixedSignature:
 def _mixed_table(sigma: MixedSignature, tau: MixedSignature, k: int) -> dict:
     """Product of rank-k mixed signatures as ``{rho: c}``.
 
-    Both factors are shifted by determinant powers until nonnegative,
-    multiplied by LR at length <= k and shifted back; the outcome does
-    not depend on the shifts chosen.
+    Both decreasing factors are shifted by determinant powers until
+    nonnegative (so `trim` makes them canonical), multiplied by LR at
+    length <= k and shifted back; the outcome does not depend on the shifts.
     """
     a = max(0, -sigma[-1]) if sigma else 0
     b = max(0, -tau[-1]) if tau else 0
-    lam = canonicalize(shift_mixed(sigma, a))
-    mu = canonicalize(shift_mixed(tau, b))
+    lam = trim(shift_mixed(sigma, a))
+    mu = trim(shift_mixed(tau, b))
     return {shift_mixed(pad(nu, k), -(a + b)): c for nu, c in _lr_table(lam, mu, k).items()}
 
 

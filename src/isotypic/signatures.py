@@ -9,6 +9,7 @@ negative entries allowed; its rank is its length.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import NotDecreasing, OddRankForSp, RankConstraint
@@ -32,10 +33,9 @@ def canonicalize(parts) -> Signature:
 
 def decreasing(parts) -> MixedSignature:
     """The parts as a tuple of ints, rejected unless weakly decreasing."""
-    parts = tuple(int(p) for p in parts)
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
+    parts = tuple(map(int, parts))
+    if any(map(operator.lt, parts, parts[1:])):
+        raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
     return parts
 
 

@@ -7,14 +7,16 @@ the sorted union of the factors' parts always occurs, so the table at that
 rank is stable and `k0` is that rank.  The Littlewood restriction does not
 depend on k inside its stable range 2*len(lam) < k, so `k0` is the range's
 edge.  The probes are the length-filtered tables at k_start, ..., k0 + step.
+Each entry checks its signatures once and reads the raw `lr._product` or
+`branching._littlewood_terms` table: no rank-k0 `Decomposition` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branching import restrict_gl_to_so, restrict_gl_to_sp
-from .lr import Decomposition, _mixed_table, contragredient, tensor_multi
+from .branching import _even_column_partitions, _even_row_partitions, _littlewood_terms
+from .lr import Decomposition, _mixed_table, _product, contragredient
 from .signatures import GroupFamily, Signature, canonicalize, pad
 
 
@@ -27,9 +29,8 @@ class StableResult:
     probes: tuple  # of (k, Decomposition)
 
 
-def _stable_result(dec: Decomposition, k_start: int, k0: int, step: int = 1):
-    family = dec.group.family
-    terms = dec._terms
+def _stable_result(family: str, terms: dict, k_start: int, k0: int, step: int = 1):
+    """The stable table of `terms` and its probes; `terms` is only read."""
     probes = tuple(
         (k, Decomposition._new(
             GroupFamily(family, k), {s: m for s, m in terms.items() if len(s) <= k}
@@ -45,7 +46,7 @@ def stable_tensor(factors) -> StableResult:
     if not factors:
         raise ValueError("stable_tensor needs at least one factor")
     k0 = max(1, sum(len(f) for f in factors))
-    return _stable_result(tensor_multi(factors, k0), max(1, *map(len, factors)), k0)
+    return _stable_result("u", _product(factors, k0), max(1, *map(len, factors)), k0)
 
 
 def stable_branch(lam: Signature, target: str) -> StableResult:
@@ -53,10 +54,10 @@ def stable_branch(lam: Signature, target: str) -> StableResult:
     lam = canonicalize(lam)
     if target == "so":
         k0 = 2 * len(lam) + 1
-        return _stable_result(restrict_gl_to_so(lam, k0), k0, k0)
+        return _stable_result("so", _littlewood_terms(lam, _even_row_partitions), k0, k0)
     if target == "sp":
         k0 = 2 * len(lam) + 2
-        return _stable_result(restrict_gl_to_sp(lam, k0), k0, k0, step=2)
+        return _stable_result("sp", _littlewood_terms(lam, _even_column_partitions), k0, k0, 2)
     raise ValueError(f"unknown branching target {target!r}")
 
 
@@ -66,7 +67,7 @@ def identity_multiplicity(factors, mu: Signature) -> int:
     Computed through the mixed tensor product, never by reading the
     multiplicity of mu off the direct product, so it can serve as the
     other side of the duality check.  One rank k = max(1, len(mu), longest
-    factor) suffices: at U(k) every sigma of tensor_multi(factors, k) is a
+    factor) suffices: at U(k) every sigma of the product of the factors is a
     stable term of length <= k, and by Schur's lemma sigma x dual(mu)
     contains the trivial representation, once, exactly when sigma = mu.
     """
@@ -76,5 +77,5 @@ def identity_multiplicity(factors, mu: Signature) -> int:
     dual = contragredient(pad(mu, k))
     return sum(
         mult * _mixed_table(pad(sig, k), dual, k).get((0,) * k, 0)
-        for sig, mult in tensor_multi(factors, k)
+        for sig, mult in _product(factors, k).items()
     )

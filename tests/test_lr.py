@@ -301,18 +301,63 @@ def test_public_constructor_still_checks_its_terms():
 
 
 def test_results_do_not_share_the_memo_tables():
-    """Mutating a returned decomposition leaves the LR and Littlewood memos intact."""
+    """Mutating a returned decomposition or probe leaves the LR and Littlewood memos intact."""
     lam, mu = (2, 1), (1,)
+    littlewood = [(lam, branching._even_row_partitions), (lam, branching._even_column_partitions)]
     lr_before = dict(_lr_table(lam, mu))
-    lw_before = dict(branching._littlewood_terms(lam, branching._even_row_partitions))
+    lw_before = [dict(branching._littlewood_terms(*key)) for key in littlewood]
+    stable = [
+        stable_limits.stable_tensor([lam, mu]),
+        stable_limits.stable_branch(lam, "so"),
+        stable_limits.stable_branch(lam, "sp"),
+    ]
     results = [
         tensor_pair(lam, mu, 3),
         branching.restrict_gl_to_so(lam, 5),
-        stable_limits.stable_tensor([lam, mu]).stable,
-        stable_limits.stable_branch(lam, "so").stable,
+        *(res.stable for res in stable),
+        *(dec for res in stable for _, dec in res.probes),
     ]
     for dec in results:
         dec.terms[(9,)] = 7
         dec._terms.clear()  # even the private dict is a copy
     assert _lr_table(lam, mu) == lr_before
-    assert branching._littlewood_terms(lam, branching._even_row_partitions) == lw_before
+    assert [branching._littlewood_terms(*key) for key in littlewood] == lw_before
+
+
+# (public call, its number of plain-signature arguments)
+CHECKED_ONCE = {
+    "stable_branch_so": (lambda: stable_limits.stable_branch((2, 1), "so"), 1),
+    "stable_branch_sp": (lambda: stable_limits.stable_branch((2, 1), "sp"), 1),
+    "stable_tensor": (lambda: stable_limits.stable_tensor([(2, 1), (1,), (1, 1)]), 3),
+    "identity_multiplicity": (
+        lambda: stable_limits.identity_multiplicity([(2, 1), (1,)], (3, 1)), 3
+    ),
+    "diagonal_branch": (lambda: branching.diagonal_branch([((2, 1), 0), ((1,), 0)], 3), 2),
+    "diagonal_branch_flagged": (
+        lambda: branching.diagonal_branch([((2, 1), 0), ((1,), 1)], 3), 2
+    ),
+    "tensor_multi": (lambda: tensor_multi([(2, 1), (1,)], 3), 2),
+    "restrict_gl_to_so": (lambda: branching.restrict_gl_to_so((2, 1), 5), 1),
+    "tensor_mixed": (lambda: tensor_mixed((1, 0, -1), (2, 1, 0), 3), 0),  # checked by `decreasing`
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_ONCE)
+def test_each_public_call_checks_each_signature_once(monkeypatch, name):
+    """Internal calls trust canonical input: a warm public call checks each
+    plain signature it is given once, however many cores it reaches."""
+    call, expected = CHECKED_ONCE[name]
+    call()
+    seen = []
+
+    def counted(parts):
+        seen.append(parts)
+        return canonicalize(parts)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "isotypic":
+            continue
+        if getattr(module, "canonicalize", None) is canonicalize:
+            monkeypatch.setattr(module, "canonicalize", counted)
+    call()
+    assert len(seen) == expected, seen

@@ -18,42 +18,58 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+# Names that nothing in ``src/isotypic`` reaches but the benchmark does.
+BENCHMARK_PINNED = {
+    "terms.TermMap.zero",  # perfbench/workloads.py calls iso.FockPoly.zero
+}
+
+
 def test_every_package_name_is_used_or_exported():
     """API that only tests call does not belong in the package.
 
-    Every top-level function or class and every non-dunder method must be
-    imported by ``isotypic/__init__`` or named (as a Name, an Attribute or
-    an imported alias) somewhere in ``src/isotypic`` outside its own body.
+    Every top-level function or class must be imported by
+    ``isotypic/__init__`` or named (as a Name, an Attribute or an imported
+    alias) somewhere in ``src/isotypic`` outside its own body.  Every
+    non-dunder method must be reached there as an attribute (``x.name``)
+    outside its own body: a bare name or an import alias does not call it.
+    ``BENCHMARK_PINNED`` lists the names only the benchmark reaches.  An AST
+    check cannot tell apart same-name methods of two classes: a method
+    named like another class's used one (say, a second ``conj`` beside
+    ``GaussRat.conj``) still passes.
     """
     root = Path(isotypic.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
-    uses = []
+    uses = []  # (name, node, reached as an attribute)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.append((node.id, node))
+                uses.append((node.id, node, False))
             elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, node))
+                uses.append((node.attr, node, True))
             elif isinstance(node, ast.ImportFrom):
-                uses.extend((alias.name, node) for alias in node.names)
-    definitions = []
+                uses.extend((alias.name, node, False) for alias in node.names)
+    definitions = []  # (qualified name, node, is a method)
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}.{node.name}", node))
+                definitions.append((f"{module}.{node.name}", node, False))
             if isinstance(node, ast.ClassDef):
                 definitions.extend(
-                    (f"{module}.{node.name}.{item.name}", item)
+                    (f"{module}.{node.name}.{item.name}", item, True)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 )
     unused = []
-    for qualname, node in definitions:
+    for qualname, node, method in definitions:
         body = {id(inner) for inner in ast.walk(node)}
-        if not any(name == node.name and id(use) not in body for name, use in uses):
+        if not any(
+            name == node.name and id(use) not in body and (attribute or not method)
+            for name, use, attribute in uses
+        ):
             unused.append(qualname)
-    assert unused == []
+    assert BENCHMARK_PINNED <= {qualname for qualname, _, _ in definitions}
+    assert sorted(set(unused) - BENCHMARK_PINNED) == []
 
 
 def test_cli_imports_no_private_package_name():
