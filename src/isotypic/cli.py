@@ -241,50 +241,40 @@ def _fock_verify_result(args):
 
 
 def _fock_hwv_result(args):
-    kind = args.kind
+    kind, k = args.kind, args.k
     if kind == "upq":
-        p, q = args.p, args.q
         sig = parse_mixed_text(args.sig)
-        if len(sig) != args.k:
-            raise IsotypicError(
-                f"mixed signature must have exactly k={args.k} parts"
-            )
-        query = f"fock-hwv|upq|p={p}|q={q}|k={args.k}|{render(sig)}"
-
-        def compute():
-            nu_sig = tuple(x for x in sig if x > 0)
-            lam_sig = tuple(-x for x in reversed(sig) if x < 0)
-            vector = hwv("upq", (nu_sig, lam_sig), (p, q), args.k)
-            fam = supq_laplacians(p, q, args.k)
-            verified = all(
-                op.apply(vector).is_zero() for op in fam["delta"].values()
-            )
-            return {
-                "kind": kind, "signature": list(sig), "p": p, "q": q, "k": args.k,
-                "polynomial": render_poly(vector), "verified": verified,
-            }
-
-        return query, compute
-    sig = parse(args.sig)
-    query = f"fock-hwv|{kind}|n={args.n}|k={args.k}|{render(sig)}"
+        if len(sig) != k:
+            raise IsotypicError(f"mixed signature must have exactly k={k} parts")
+        params = {"p": args.p, "q": args.q, "k": k}
+        data = (tuple(x for x in sig if x > 0), tuple(-x for x in reversed(sig) if x < 0))
+        rows = (args.p, args.q)
+    else:
+        sig = parse(args.sig)
+        params = {"n": args.n, "k": k}
+        data, rows = sig, args.n
+    query = "|".join(["fock-hwv", kind, *(f"{n}={v}" for n, v in params.items()), render(sig)])
 
     def compute():
-        vector = hwv(kind, sig, args.n, args.k)
+        vector = hwv(kind, data, rows, k)
         if kind == "gl":
             verified = check_covariance(vector, "left_lower", sig) and check_covariance(
                 vector, "right_upper", sig
             )
+        elif kind == "upq":
+            laplacians = supq_laplacians(*rows, k)["delta"].values()
+            verified = all(op.apply(vector).is_zero() for op in laplacians)
         else:
             # Both SO kinds: every D_ab kills the vector (D_11 = 2 X- at one row).
-            rows = vector.shape.rows
-            fam = sp2n_generators(rows, args.k)
+            n = vector.shape.rows
+            gens = sp2n_generators(n, k)["D"]
             verified = all(
-                fam["D"][(a, b)].apply(vector).is_zero()
-                for a in range(1, rows + 1)
-                for b in range(a, rows + 1)
+                gens[(a, b)].apply(vector).is_zero()
+                for a in range(1, n + 1)
+                for b in range(a, n + 1)
             )
         return {
-            "kind": kind, "signature": list(sig), "n": args.n, "k": args.k,
+            "kind": kind, "signature": list(sig), **params,
             "polynomial": render_poly(vector), "verified": verified,
         }
 

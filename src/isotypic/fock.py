@@ -252,11 +252,17 @@ class FockShape:
             raise ValueError(f"W[{b}][{i}] outside shape {self}")
         return (self.rows + b - 1) * self.cols + (i - 1)
 
-    def var_name(self, idx: int) -> str:
-        row, col = divmod(idx, self.cols)
-        if row < self.rows:
-            return f"Z[{row + 1}][{col + 1}]"
-        return f"W[{row - self.rows + 1}][{col + 1}]"
+    def monomial(self, e, prefix: str = "") -> list:
+        """The text factors of exponent tuple e, each name or name^x, with
+        every name prefixed by `prefix`."""
+        out = []
+        for idx, x in enumerate(e):
+            if x:
+                row, col = divmod(idx, self.cols)
+                name = (f"{prefix}Z[{row + 1}][{col + 1}]" if row < self.rows
+                        else f"{prefix}W[{row - self.rows + 1}][{col + 1}]")
+                out.append(f"{name}^{x}" if x > 1 else name)
+        return out
 
 
 def _unit(nvars, idx, amount=1):
@@ -409,17 +415,9 @@ class WeylOp(TermMap):
         return FockPoly._new(self.shape, out)
 
     def __repr__(self):
-        bits = []
+        bits, shape = [], self.shape
         for (z, d), c in sorted(self.terms.items(), reverse=True):
-            zpart = "*".join(
-                f"{self.shape.var_name(i)}^{e}" if e > 1 else self.shape.var_name(i)
-                for i, e in enumerate(z) if e
-            )
-            dpart = "*".join(
-                f"d{self.shape.var_name(i)}^{e}" if e > 1 else f"d{self.shape.var_name(i)}"
-                for i, e in enumerate(d) if e
-            )
-            bits.append("*".join(p for p in (f"({c})", zpart, dpart) if p))
+            bits.append("*".join([f"({c})", *shape.monomial(z), *shape.monomial(d, "d")]))
         return f"<WeylOp {' + '.join(bits) or '0'}>"
 
 
@@ -903,12 +901,7 @@ def render_poly(f: FockPoly) -> str:
         coeff = str(c)
         if c.re and c.im:
             coeff = f"({coeff})"
-        factors = [coeff]
-        for idx, exp in enumerate(e):
-            if exp:
-                name = f.shape.var_name(idx)
-                factors.append(f"{name}^{exp}" if exp > 1 else name)
-        bits.append(" * ".join(factors))
+        bits.append(" * ".join([coeff, *f.shape.monomial(e)]))
     return " + ".join(bits)
 
 
@@ -933,85 +926,51 @@ def _split_top_level(text, seps):
     return pieces
 
 
-def _read_variable(tok):
-    """``(block, row, col, power)`` of a variable token, else None."""
-    m = _VAR_RE.match(tok)
-    return m and (m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4) or 1))
+def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
+    """Parse polynomial text: terms joined by + or -, each a * product of
+    coefficients (2, -1/3, i, (1/2-i)) and variables Z[a][i]^e, W[b][i]^e.
 
-
-def _tokenize_poly(text: str, shape: FockShape | None = None):
-    """Read polynomial text into ``(terms, extent)``.
-
-    `terms` lists ``(coeff, vars)`` per term, `vars` the ``(block, row,
-    col, power)`` of its variables; `extent` is the smallest shape that
-    covers them.  Every error of the text is raised here, in text order,
-    with each variable checked against `shape` (default: the extent), so
-    building at any covering shape cannot fail.
+    The first reading strips every term's signs and matches its
+    variables; it gives the extent, the smallest shape (at least 1 x 1)
+    covering them, used when no shape is supplied.  The second reading,
+    term by term, parses each coefficient and checks each variable
+    against the shape.  So a dangling sign anywhere is the first
+    ValueError, then coefficient and shape errors come in text order.
     """
     squeezed = text.replace(" ", "")
     if not squeezed:
         raise ValueError("empty polynomial text")
-    raw_terms = []
-    for piece in _split_top_level(squeezed, "+-"):
-        sign = GaussRat(1)
-        while piece and piece[0] in "+-":
-            if piece[0] == "-":
-                sign = -sign
-            piece = piece[1:]
-        if not piece:
-            raise ValueError(f"dangling sign in {text!r}")
-        factors = [tok.lstrip("*") for tok in _split_top_level(piece, "*")]
-        # Reattach the "i" of complex factors split by the * in "r/s*i".
-        merged = []
-        for tok in factors:
-            if tok == "i" and merged and not _VAR_RE.match(merged[-1]) \
-                    and not merged[-1].startswith("("):
-                merged[-1] += "*i"
-            else:
-                merged.append(tok)
-        raw_terms.append((sign, [_read_variable(tok) or tok for tok in merged]))
-    max_z = max_w = max_col = 0
-    for _, factors in raw_terms:
-        for tok in factors:
-            if not isinstance(tok, str):
-                block, row, col, _ = tok
-                max_col = max(max_col, col)
-                if block == "Z":
-                    max_z = max(max_z, row)
-                else:
-                    max_w = max(max_w, row)
-    extent = FockShape(max(max_z, 1), max(max_col, 1), max_w)
-    check = shape or extent
     terms = []
-    for coeff, factors in raw_terms:
-        variables = []
+    extent = {"Z": 1, "W": 0, "col": 1}
+    for piece in _split_top_level(squeezed, "+-"):
+        body = piece.lstrip("+-")
+        if not body:
+            raise ValueError(f"dangling sign in {text!r}")
+        factors = []
+        for tok in _split_top_level(body, "*"):
+            tok = tok.lstrip("*")
+            m = _VAR_RE.match(tok)
+            if m:
+                tok = (m[1], int(m[2]), int(m[3]), int(m[4] or 1))
+                extent[m[1]] = max(extent[m[1]], tok[1])
+                extent["col"] = max(extent["col"], tok[2])
+            factors.append(tok)
+        sign = piece.count("-", 0, len(piece) - len(body)) % 2
+        terms.append((GaussRat(-1 if sign else 1), factors))
+    shape = shape or FockShape(extent["Z"], extent["col"], extent["W"])
+    out: dict = {}
+    for coeff, factors in terms:
+        found = []
         for tok in factors:
             if isinstance(tok, str):
                 inner = tok[1:-1] if tok.startswith("(") and tok.endswith(")") else tok
                 coeff = coeff * parse_gauss(inner)
-                continue
-            block, row, col, _ = tok
-            (check.z_index if block == "Z" else check.w_index)(row, col)
-            variables.append(tok)
-        terms.append((coeff, variables))
-    return terms, extent
-
-
-def parse_poly(text: str, shape: FockShape | None = None) -> FockPoly:
-    """Parse the canonical polynomial text form.
-
-    When no shape is supplied, the smallest shape covering every
-    mentioned variable is used.
-    """
-    terms, extent = _tokenize_poly(text, shape)
-    shape = shape or extent
-    out: dict = {}
-    for coeff, variables in terms:
-        if not coeff:
-            continue
-        exps = [0] * shape.nvars
-        for block, row, col, power in variables:
-            idx = shape.z_index(row, col) if block == "Z" else shape.w_index(row, col)
-            exps[idx] += power
-        add_into(out, tuple(exps), coeff)
+            else:
+                block, row, col, power = tok
+                found.append(((shape.z_index if block == "Z" else shape.w_index)(row, col), power))
+        if coeff:
+            exps = [0] * shape.nvars
+            for idx, power in found:
+                exps[idx] += power
+            add_into(out, tuple(exps), coeff)
     return FockPoly._new(shape, out)

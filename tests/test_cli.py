@@ -174,6 +174,11 @@ def test_fock_pair_subcommand(capsys):
     assert out.strip() == "0"
 
 
+def test_fock_pair_reads_an_i_factor_after_a_coefficient(capsys):
+    code, out, err = invoke(capsys, "fock", "pair", "2*i*i", "1")
+    assert (code, out, err) == (0, "-2\n", "")
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = invoke(capsys, "branch", "--to", "so", "--rank", "4", "2,2")
     assert code == 1

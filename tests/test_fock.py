@@ -730,6 +730,40 @@ def test_poly_text_round_trip():
     )
 
 
+def test_every_i_factor_multiplies():
+    """A bare i is one more factor, wherever it stands in a term."""
+    assert parse_poly("Z[1][1]*i*i") == parse_poly("-Z[1][1]")
+    assert parse_poly("2*i*i") == parse_poly("-2")
+    assert parse_poly("i*i*i") == parse_poly("-i")
+    assert parse_poly("1/2*i*Z[1][1]") == parse_poly("(1/2*i)*Z[1][1]")
+    assert parse_poly("Z[3][2]-i*i") == parse_poly("Z[3][2]+1")
+
+
+POLY_TEXT_ERRORS = [
+    # A dangling sign in any term is reported before any coefficient error.
+    ("", None, "empty polynomial text"),
+    ("+", None, "dangling sign in '+'"),
+    ("1/0*Z[1][1] + -", None, "dangling sign in '1/0*Z[1][1] + -'"),
+    # With no shape, variables are checked against the extent (rows, cols >= 1).
+    ("Z[0][1]", None, "Z[0][1] outside shape FockShape(rows=1, cols=1, wrows=0)"),
+    # Then coefficient and shape errors come in text order.
+    ("Z[3][1] + 1/0", FockShape(1, 1), "Z[3][1] outside shape FockShape(rows=1, cols=1, wrows=0)"),
+    ("1/0 + Z[3][1]", FockShape(1, 1), "zero denominator in coefficient '1/0'"),
+    ("(1+2*i", None, "Invalid literal for Fraction: '(1'"),
+    ("Z[1][1]^", None, "Invalid literal for Fraction: 'Z[1][1]^'"),
+    ("1/0", None, "zero denominator in coefficient '1/0'"),
+]
+
+
+def test_poly_text_error_contract():
+    for text, shape, message in POLY_TEXT_ERRORS:
+        with pytest.raises(ValueError) as info:
+            parse_poly(text, shape)
+        assert (type(info.value), str(info.value)) == (ValueError, message), text
+    # The variable pattern's $ accepts a trailing newline.
+    assert parse_poly("Z[1][1]\n") == parse_poly("Z[1][1]")
+
+
 COEFFS = st.builds(
     GaussRat,
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
