@@ -7,7 +7,6 @@ __version__ = "0.1.1"
 from . import errors
 from .branching import (
     ReciprocityReport,
-    diagonal_branch,
     dual_side_multiplicity,
     reciprocity_check,
     restrict_gl_to_so,

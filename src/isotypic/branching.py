@@ -20,15 +20,8 @@ from functools import lru_cache
 
 from .characters import _torus_dominant_weights, weyl_fold
 from .errors import OddRank, OutsideStableRange, RankTooSmall
-from .lr import Decomposition, _fold, _lr_table, _mixed_table, _product, contragredient
-from .signatures import (
-    GroupFamily,
-    Signature,
-    canonicalize,
-    iter_partitions,
-    pad,
-    weight,
-)
+from .lr import Decomposition, _lr_table
+from .signatures import GroupFamily, Signature, canonicalize, iter_partitions, weight
 
 
 def _even_row_partitions(total, max_length):
@@ -146,23 +139,3 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
         rows.append((mu, a, b, a == b))
     return ReciprocityReport(lam, n, k, tuple(rows))
 
-
-def diagonal_branch(factors, k: int) -> Decomposition:
-    """Restrict an outer tensor product to the diagonal U(k).
-
-    Factors are (signature, contragredient_flag) pairs; flagged factors
-    act through their dual, which turns the computation into a mixed
-    tensor product at fixed rank k.
-    """
-    prepared = [(canonicalize(sig), bool(flag)) for sig, flag in factors]
-    for sig, _ in prepared:
-        if len(sig) > k:
-            raise RankTooSmall(f"factor {list(sig)} needs rank >= {len(sig)}, got {k}")
-    if not any(flag for _, flag in prepared):
-        return Decomposition._new(GroupFamily("u", k), _product([s for s, _ in prepared], k))
-    mixed = [
-        contragredient(pad(sig, k)) if flag else pad(sig, k)
-        for sig, flag in prepared
-    ]
-    table = lambda sig, nxt: _mixed_table(sig, nxt, k)
-    return Decomposition._new(GroupFamily("u", k), _fold(mixed, k, table))

@@ -261,18 +261,16 @@ def _fock_hwv_result(args):
             verified = check_covariance(vector, "left_lower", sig) and check_covariance(
                 vector, "right_upper", sig
             )
-        elif kind == "upq":
-            laplacians = supq_laplacians(*rows, k)["delta"].values()
-            verified = all(op.apply(vector).is_zero() for op in laplacians)
         else:
-            # Both SO kinds: every D_ab kills the vector (D_11 = 2 X- at one row).
-            n = vector.shape.rows
-            gens = sp2n_generators(n, k)["D"]
-            verified = all(
-                gens[(a, b)].apply(vector).is_zero()
-                for a in range(1, n + 1)
-                for b in range(a, n + 1)
-            )
+            if kind == "upq":
+                annihilators = supq_laplacians(*rows, k)["delta"].values()
+            else:
+                # Both SO kinds: every D_ab kills the vector (D_11 = 2 X- at one row).
+                gens = sp2n_generators(args.n, k)["D"]
+                annihilators = (
+                    gens[(a, b)] for a in range(1, args.n + 1) for b in range(a, args.n + 1)
+                )
+            verified = all(op.apply(vector).is_zero() for op in annihilators)
         return {
             "kind": kind, "signature": list(sig), **params,
             "polynomial": render_poly(vector), "verified": verified,

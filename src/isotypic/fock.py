@@ -7,9 +7,11 @@ these sit the ladder operators of the oscillator representations, the
 harmonic decomposition in one row of variables, and the highest weight
 vectors of the classical dual pairs.
 
-Coefficients are Gaussian rationals with int parts, promoted to Fraction
-only where a division or a non-integral input needs one: exact
-arithmetic throughout, so operator identities are decided, not sampled.
+Coefficients are Gaussian rationals with int parts; a part is a Fraction
+only when a non-integral rational comes in (an input, or a constant such
+as k/2) or the harmonic projection divides it, the one division here:
+exact arithmetic throughout, so operator identities are decided, not
+sampled.
 Polynomials and operators are term maps on the shared core of
 ``isotypic.terms``, which also holds the Leibniz determinant, so this
 module imports neither the character oracle nor the LR engine.  Terms
@@ -93,11 +95,12 @@ def _operand(x):
 class GaussRat:
     """A Gaussian rational re + im*i with exact rational parts.
 
-    A part is an int whenever it is integral and a Fraction only when a
-    division or a non-integral input needs one, so integer arithmetic
-    never builds a Fraction.  Equality, hashing and the text form do not
-    depend on which type holds a part: 3 == Fraction(3), their hashes
-    are equal and both print as "3".
+    A part is an int whenever it is integral.  GaussRat has no division:
+    a Fraction part comes from a non-integral input or from the harmonic
+    projection's division of parts, never from GaussRat arithmetic on int
+    parts.  Equality, hashing and the text form do not depend on which
+    type holds a part: 3 == Fraction(3), their hashes are equal and both
+    print as "3".
     """
 
     __slots__ = ("re", "im")
@@ -147,24 +150,6 @@ class GaussRat:
         return _gauss(a * c, 0)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussRat.coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return _gauss(
-            Fraction(self.re * other.re + self.im * other.im, norm),
-            Fraction(self.im * other.re - self.re * other.im, norm),
-        )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return GaussRat(1) / self ** (-n)
-        out = GaussRat(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def conj(self):
         return _gauss(self.re, -self.im)

@@ -169,26 +169,22 @@ def tensor_pair(lam: Signature, mu: Signature, k: int) -> Decomposition:
     return tensor_multi((lam, mu), k)
 
 
-def _fold(factors, k: int, table) -> dict:
-    """Multiply out factors in order as ``{sig: mult}``, reading each product
-    from the shared table `table(sig, nxt)` and dropping terms longer than k."""
-    acc = {factors[0]: 1}
-    for nxt in factors[1:]:
+def _product(factors, k: int) -> dict:
+    """The U(k) product of canonical factors of length <= k as ``{sig: mult}``,
+    multiplied lightest first to keep the intermediate tables small and
+    dropping terms longer than k."""
+    if not factors:
+        return {(): 1}
+    first, *rest = sorted(factors, key=lambda f: (weight(f), f))
+    acc = {first: 1}
+    for nxt in rest:
         step: dict = {}
         for sig, mult in acc.items():
-            for nu, c in table(sig, nxt).items():
+            for nu, c in _lr_table(sig, nxt).items():
                 if len(nu) <= k:
                     step[nu] = step.get(nu, 0) + mult * c
         acc = step
     return acc
-
-
-def _product(factors, k: int) -> dict:
-    """The U(k) product of canonical factors of length <= k as ``{sig: mult}``,
-    multiplied lightest first to keep the intermediate tables small."""
-    if not factors:
-        return {(): 1}
-    return _fold(sorted(factors, key=lambda f: (weight(f), f)), k, _lr_table)
 
 
 def tensor_multi(factors, k: int) -> Decomposition:

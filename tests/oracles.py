@@ -135,13 +135,6 @@ def gauss_div(a, b):
     return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
 
 
-def gauss_pow(a, n):
-    out = gauss_ref(1)
-    for _ in range(abs(n)):
-        out = gauss_mul(out, a)
-    return gauss_div(gauss_ref(1), out) if n < 0 else out
-
-
 def gauss_conj(a):
     return (a[0], -a[1])
 

@@ -1,11 +1,8 @@
-from itertools import product
-
 import pytest
 
 from isotypic.branching import (
     _even_row_partitions,
     _littlewood_terms,
-    diagonal_branch,
     dual_side_multiplicity,
     reciprocity_check,
     restrict_gl_to_so,
@@ -13,7 +10,6 @@ from isotypic.branching import (
 )
 from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
 from isotypic.errors import OddRank, OutsideStableRange, RankTooSmall
-from isotypic.lr import tensor_pair
 from isotypic.signatures import GroupFamily, iter_partitions, weight
 from oracles import branch_rank1_closed_form
 
@@ -140,27 +136,6 @@ def test_reciprocity_side_b_is_the_littlewood_sum():
             for mu, _, side_b, _ in rep.rows:
                 assert side_b == dual_side_multiplicity(lam, mu, n), (lam, mu, n)
                 assert side_b == restricted[mu], (lam, mu, n)
-
-
-def test_diagonal_branch_examples():
-    assert diagonal_branch([((1,), False), ((1,), False)], 3).terms == {
-        (2,): 1,
-        (1, 1): 1,
-    }
-    assert diagonal_branch([((1,), False), ((1,), True)], 2).terms == {
-        (1, -1): 1,
-        (0, 0): 1,
-    }
-    assert diagonal_branch([((2, 1), False)], 3).terms == {(2, 1): 1}
-
-
-def test_diagonal_branch_matches_tensor_pair_when_direct():
-    for lam, mu in product(list(iter_partitions(2)), list(iter_partitions(3))):
-        k = 4
-        assert (
-            diagonal_branch([(lam, False), (mu, False)], k).terms
-            == tensor_pair(lam, mu, k).terms
-        )
 
 
 def test_poisoned_littlewood_memo_shows_as_disagreement():

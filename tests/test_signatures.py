@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isotypic.branching import (
-    diagonal_branch,
     dual_side_multiplicity,
     reciprocity_check,
     restrict_gl_to_so,
@@ -65,7 +64,6 @@ def test_negative_parts_are_rejected_at_every_entry_point():
         lambda: lr_coefficient((2,), neg, (4, 2)),
         lambda: lr_coefficient((2,), (1,), (3, 1, -1)),
         lambda: tensor_multi([(1,), neg], 4),
-        lambda: diagonal_branch([(neg, False), ((1,), True)], 4),
         lambda: restrict_gl_to_so(neg, 9),
         lambda: restrict_gl_to_sp(neg, 10),
         lambda: dual_side_multiplicity(neg, (1,), 3),

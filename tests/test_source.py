@@ -3,7 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import isotypic
-from isotypic import branching, characters, cli, fock, lr
+from isotypic import branching, characters, cli, errors, fock, lr
 
 
 def test_library_has_no_assert_statements():
@@ -18,10 +18,51 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-# Names that nothing in ``src/isotypic`` reaches but the benchmark does.
-BENCHMARK_PINNED = {
-    "terms.TermMap.zero",  # perfbench/workloads.py calls iso.FockPoly.zero
+# The raises a Python protocol dictates, by the definition that holds them.
+PROTOCOL_RAISES = {
+    "lr.Decomposition.__setattr__": "AttributeError",  # attribute assignment
+    "cli.positive_int": "argparse.ArgumentTypeError",  # argparse's type hook
 }
+
+
+def _raises(tree, prefix):
+    """(qualified name of the enclosing definition, node) for each raise in tree."""
+    stack = [(prefix, tree)]
+    while stack:
+        name, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                yield name, child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                stack.append((f"{name}.{child.name}", child))
+            else:
+                stack.append((name, child))
+
+
+def test_library_raises_only_typed_errors():
+    """The error contract: every explicit raise names an ``IsotypicError``
+    subclass, ``ValueError`` or ``TypeError``, so no bare
+    ``ZeroDivisionError`` or ``StopIteration`` leaves the package.  A bare
+    re-raise names nothing and fails too; ``PROTOCOL_RAISES`` holds the
+    only exceptions, and each of its entries must still exist."""
+    root = Path(isotypic.__file__).parent
+    bad, protocol = [], set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in _raises(tree, path.stem):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc) if exc is not None else "(bare raise)"
+            cls = getattr(errors, name, None)
+            if name in ("ValueError", "TypeError") or (
+                isinstance(cls, type) and issubclass(cls, errors.IsotypicError)
+            ):
+                continue
+            if PROTOCOL_RAISES.get(qualname) == name:
+                protocol.add(qualname)
+            else:
+                bad.append(f"{path.name}:{node.lineno} {qualname} raises {name}")
+    assert bad == []
+    assert protocol == set(PROTOCOL_RAISES)
 
 
 def test_every_package_name_is_used_or_exported():
@@ -29,18 +70,21 @@ def test_every_package_name_is_used_or_exported():
 
     Every top-level function or class must be imported by
     ``isotypic/__init__`` or named (as a Name, an Attribute or an imported
-    alias) somewhere in ``src/isotypic`` outside its own body.  Every
-    non-dunder method must be reached there as an attribute (``x.name``)
-    outside its own body: a bare name or an import alias does not call it.
-    ``BENCHMARK_PINNED`` lists the names only the benchmark reaches.  An AST
-    check cannot tell apart same-name methods of two classes: a method
-    named like another class's used one (say, a second ``conj`` beside
-    ``GaussRat.conj``) still passes.
+    alias) somewhere in ``src/isotypic`` or ``scripts/`` outside its own
+    body.  Every non-dunder method must be reached there as an attribute
+    (``x.name``) outside its own body: a bare name or an import alias does
+    not call it.  The scripts are users; the tests and the benchmark are
+    not, so a name only they reach fails.  An AST check cannot tell apart
+    same-name methods of two classes: a method named like another class's
+    used one (say, a second ``conj`` beside ``GaussRat.conj``) still passes.
     """
     root = Path(isotypic.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    users = list(trees.values())
+    users += [ast.parse(path.read_text(encoding="utf-8")) for path in scripts.glob("*.py")]
     uses = []  # (name, node, reached as an attribute)
-    for tree in trees.values():
+    for tree in users:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((node.id, node, False))
@@ -68,8 +112,7 @@ def test_every_package_name_is_used_or_exported():
             for name, use, attribute in uses
         ):
             unused.append(qualname)
-    assert BENCHMARK_PINNED <= {qualname for qualname, _, _ in definitions}
-    assert sorted(set(unused) - BENCHMARK_PINNED) == []
+    assert unused == []
 
 
 def test_cli_imports_no_private_package_name():
