@@ -15,7 +15,7 @@ the two sides stay computationally independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .characters import _torus_dominant_weights, weyl_fold
@@ -103,14 +103,11 @@ def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     return _littlewood_terms(lam, _even_row_partitions).get(mu, 0)
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Row-by-row comparison of the two multiplicity computations."""
+class ReciprocityReport(namedtuple("ReciprocityReport", "lam n k rows")):
+    """Row-by-row comparison of the two multiplicity computations: `rows`
+    holds one (mu, side_a, side_b, agree) tuple per signature mu."""
 
-    lam: Signature
-    n: int
-    k: int
-    rows: tuple  # of (mu, side_a, side_b, agree)
+    __slots__ = ()
 
     @property
     def all_agree(self) -> bool:

@@ -52,11 +52,6 @@ def decomposition_to_json(dec: Decomposition, k0=None) -> dict:
     return obj
 
 
-def parse_mixed_text(text: str):
-    """Parse a comma-separated signature allowing negative entries."""
-    return decreasing(text.split(","))
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -243,7 +238,7 @@ def _fock_verify_result(args):
 def _fock_hwv_result(args):
     kind, k = args.kind, args.k
     if kind == "upq":
-        sig = parse_mixed_text(args.sig)
+        sig = decreasing(args.sig.split(","))
         if len(sig) != k:
             raise IsotypicError(f"mixed signature must have exactly k={k} parts")
         params = {"p": args.p, "q": args.q, "k": k}
@@ -281,9 +276,7 @@ def _fock_hwv_result(args):
 
 def _fock_pair_result(args):
     ext1, ext2 = (parse_poly(text).shape for text in args.exprs)
-    shape = FockShape(
-        max(ext1.rows, ext2.rows), max(ext1.cols, ext2.cols), max(ext1.wrows, ext2.wrows)
-    )
+    shape = FockShape(*map(max, ext1, ext2))
     first, second = (parse_poly(text, shape) for text in args.exprs)
     query = f"fock-pair|{render_poly(first)}|{render_poly(second)}"
     return query, lambda: {"value": str(pairing(first, second))}

@@ -41,7 +41,7 @@ it is emitted.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import (
@@ -215,13 +215,10 @@ def parse_gauss(text: str) -> GaussRat:
     return value
 
 
-@dataclass(frozen=True)
-class FockShape:
+class FockShape(namedtuple("FockShape", "rows cols wrows", defaults=(0,))):
     """Variable layout: rows x cols of Z, plus optional wrows x cols of W."""
 
-    rows: int
-    cols: int
-    wrows: int = 0
+    __slots__ = ()
 
     @property
     def nvars(self) -> int:

@@ -10,7 +10,7 @@ negative entries allowed; its rank is its length.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotDecreasing, OddRankForSp, RankConstraint
 
@@ -82,40 +82,34 @@ def parse(text: str) -> Signature:
     return canonicalize(parts)
 
 
-@dataclass(frozen=True)
-class GroupFamily:
+class GroupFamily(namedtuple("GroupFamily", "family rank")):
     """A classical family label: family in {"u", "so", "sp"} plus rank.
 
     Rank is a positive integer, or the string "stable" for inductive-limit
     decompositions.
     """
 
-    family: str
-    rank: int | str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("u", "so", "sp"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank != "stable":
-            if not isinstance(self.rank, int) or self.rank < 1:
-                raise RankConstraint(f"rank must be a positive integer, got {self.rank!r}")
-            if self.family == "sp" and self.rank % 2 != 0:
-                raise OddRankForSp(f"Sp rank must be even, got {self.rank}")
+    def __new__(cls, family: str, rank: int | str):
+        if family not in ("u", "so", "sp"):
+            raise ValueError(f"unknown family {family!r}")
+        if rank != "stable":
+            if not isinstance(rank, int) or rank < 1:
+                raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
+            if family == "sp" and rank % 2 != 0:
+                raise OddRankForSp(f"Sp rank must be even, got {rank}")
+        return tuple.__new__(cls, (family, rank))
 
-    def max_signature_length(self) -> int | None:
-        """Longest signature the family admits, or None when rank is stable."""
-        if self.rank == "stable":
-            return None
-        if self.family == "u":
-            return self.rank
-        return self.rank // 2
+    # ``_replace`` builds through ``_make``: route it through the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def check_signature(self, sig: Signature):
-        limit = self.max_signature_length()
-        if limit is not None and len(sig) > limit:
-            raise RankConstraint(
-                f"signature {list(sig)} too long for {self.family}({self.rank})"
-            )
+        """Reject a signature longer than the family admits; a stable rank admits any."""
+        if self.rank == "stable":
+            return
+        if len(sig) > (self.rank if self.family == "u" else self.rank // 2):
+            raise RankConstraint(f"signature {list(sig)} too long for {self}")
 
     def __str__(self):
         return f"{self.family}({self.rank})"

@@ -13,20 +13,18 @@ Each entry checks its signatures once and reads the raw `lr._product` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .branching import _even_column_partitions, _even_row_partitions, _littlewood_terms
 from .lr import Decomposition, _mixed_table, _product, contragredient
 from .signatures import GroupFamily, Signature, canonicalize, pad
 
 
-@dataclass(frozen=True)
-class StableResult:
-    """A stable decomposition, the rank it first appeared at, and all probes."""
+class StableResult(namedtuple("StableResult", "stable k0 probes")):
+    """A stable decomposition, the rank k0 it first appeared at, and all
+    probes, a tuple of (k, Decomposition) pairs."""
 
-    stable: Decomposition
-    k0: int
-    probes: tuple  # of (k, Decomposition)
+    __slots__ = ()
 
 
 def _stable_result(family: str, terms: dict, k_start: int, k0: int, step: int = 1):

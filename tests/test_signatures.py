@@ -8,6 +8,7 @@ from isotypic.branching import (
     restrict_gl_to_sp,
 )
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint
+from isotypic.fock import FockShape
 from isotypic.lr import lr_coefficient, tensor_multi, tensor_pair
 from isotypic.signatures import (
     GroupFamily,
@@ -122,13 +123,62 @@ def test_pad():
 
 
 def test_group_family_constraints():
-    assert GroupFamily("u", 3).max_signature_length() == 3
-    assert GroupFamily("so", 7).max_signature_length() == 3
+    for group in (GroupFamily("u", 3), GroupFamily("so", 7)):
+        group.check_signature((1, 1, 1))
+        with pytest.raises(RankConstraint):
+            group.check_signature((1, 1, 1, 1))
     with pytest.raises(OddRankForSp):
         GroupFamily("sp", 3)
     with pytest.raises(RankConstraint):
         GroupFamily("so", 4).check_signature((1, 1, 1))
     assert GroupFamily("sp", "stable").rank == "stable"
+
+
+def test_value_records_keep_their_contract():
+    """The four value records print as literals, hash as the tuple of their
+    fields and refuse field assignment; `GroupFamily` rejects bad labels
+    with typed errors."""
+    stable = stable_tensor([(1,)])
+    report = reciprocity_check((1,), 1, 3)
+    records = [
+        (GroupFamily("so", 7), "rank", ("so", 7), "GroupFamily(family='so', rank=7)"),
+        (FockShape(1, 2), "cols", (1, 2, 0), "FockShape(rows=1, cols=2, wrows=0)"),
+        (
+            report,
+            "k",
+            ((1,), 1, 3, (((1,), 1, 1, True),)),
+            "ReciprocityReport(lam=(1,), n=1, k=3, rows=(((1,), 1, 1, True),))",
+        ),
+        (
+            stable,
+            "k0",
+            (stable.stable, 1, stable.probes),
+            "StableResult(stable=<u(stable): (1)>, k0=1,"
+            " probes=((1, <u(1): (1)>), (2, <u(2): (1)>)))",
+        ),
+    ]
+    for record, field, fields, text in records:
+        assert repr(record) == text
+        assert hash(record) == hash(fields)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    assert FockShape(1, 2).wrows == 0
+    rejections = [
+        (("x", 3), ValueError, "unknown family 'x'"),
+        (("u", 0), RankConstraint, "rank must be a positive integer, got 0"),
+        (("so", "3"), RankConstraint, "rank must be a positive integer, got '3'"),
+        (("sp", 3), OddRankForSp, "Sp rank must be even, got 3"),
+    ]
+    for args, cls, message in rejections:
+        with pytest.raises(cls) as info:
+            GroupFamily(*args)
+        assert type(info.value) is cls and str(info.value) == message
+
+
+def test_group_family_replace_checks_the_new_fields():
+    assert GroupFamily("sp", 4)._replace(rank=6) == GroupFamily("sp", 6)
+    with pytest.raises(OddRankForSp):
+        GroupFamily("sp", 4)._replace(rank=5)
 
 
 def test_iter_partitions_counts():

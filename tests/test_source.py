@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import isotypic
@@ -113,6 +116,35 @@ def test_every_package_name_is_used_or_exported():
         ):
             unused.append(qualname)
     assert unused == []
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    """The value records are named tuples: no module imports ``dataclasses``,
+    and ``import isotypic.cli`` loads neither it nor ``inspect`` (which it
+    drags in) beyond what a bare interpreter in the same environment loads."""
+    root = Path(isotypic.__file__).parent
+    importers = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    probe = "import sys; {}print(sorted({{'dataclasses', 'inspect'}}.intersection(sys.modules)))"
+    bare, after_cli = (
+        subprocess.run(
+            [sys.executable, "-c", probe.format(prefix)],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for prefix in ("", "import isotypic.cli; ")
+    )
+    assert after_cli == bare
 
 
 def test_cli_imports_no_private_package_name():
