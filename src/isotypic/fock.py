@@ -18,10 +18,16 @@ module imports neither the character oracle nor the LR engine.  Terms
 are keyed by dense exponent tuples; the kernel loops visit only the
 nonzero exponents of each term.  Each operator indexes its terms once,
 on first use, and keeps that view: a composition reads it instead of
-re-deriving the nonzero exponents per call.  Commutators keep only
-contracted terms, since the uncontracted ones of ab and ba cancel, and
-so visit only the term pairs that contract; on them rest the relation
-checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``.  The
+re-deriving the nonzero exponents per call.  The view keeps a real
+coefficient as its plain int or Fraction, so the kernel multiplies
+native numbers and ``@`` and ``weyl_commutator`` wrap each output value
+in a GaussRat once.  Commutators keep only contracted terms, since the
+uncontracted ones of ab and ba cancel: each operator's contraction index
+lists, per left derivative exponents, the rows they meet, so a
+commutator visits only the term pairs that contract.  On them rest the
+relation checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``;
+``verify_sp2n`` computes each distinct commutator once per call (P_ab
+and P_ba are one object) and keeps none past it.  The
 quadratic generators come from one polynomial, the pairing
 q_rs = sum_i x_ri x_si of two block rows, as multiplication by it and as
 q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
@@ -120,7 +126,12 @@ class GaussRat:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        return _gauss(self.re + other.re, self.im + other.im)
+        re, im = self.re + other.re, self.im + other.im
+        if type(re) is not int or type(im) is not int:
+            return _gauss(re, im)
+        out = _alloc(GaussRat)
+        out.re, out.im = re, im
+        return out
 
     __radd__ = __add__
 
@@ -138,16 +149,21 @@ class GaussRat:
         return GaussRat.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if type(other) is not GaussRat:
-            if type(other) is int:
-                return _gauss(self.re * other, self.im * other)
-            other = _operand(other)
-            if other is None:
-                return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b or d:
-            return _gauss(a * c - b * d, a * d + b * c)
-        return _gauss(a * c, 0)
+        a, b = self.re, self.im
+        if type(other) is int:
+            re, im = a * other, b * other
+        else:
+            if type(other) is not GaussRat:
+                other = _operand(other)
+                if other is None:
+                    return NotImplemented
+            c, d = other.re, other.im
+            re, im = (a * c - b * d, a * d + b * c) if b or d else (a * c, 0)
+        if type(re) is not int or type(im) is not int:
+            return _gauss(re, im)
+        out = _alloc(GaussRat)
+        out.re, out.im = re, im
+        return out
 
     __rmul__ = __mul__
 
@@ -376,7 +392,7 @@ class WeylOp(TermMap):
     def __matmul__(self, other: "WeylOp") -> "WeylOp":
         """Composition, renormalized via d^a x^b = sum_j C(a,j)C(b,j)j! x^(b-j)d^(a-j)."""
         self._require_same_shape(other)
-        return WeylOp._new(self.shape, _compose_into({}, self, other, False, 1))
+        return WeylOp._new(self.shape, _gauss_values(_compose_into({}, self, other, False, 1)))
 
     def apply(self, f: FockPoly) -> FockPoly:
         self._require_same_shape(f)
@@ -393,7 +409,7 @@ class WeylOp(TermMap):
                 else:
                     for i, x in raise_z:
                         new[i] += x
-                    add_into(out, tuple(new), c * a * fall)
+                    add_into(out, tuple(new), a * (c * fall))
         return FockPoly._new(self.shape, out)
 
     def __repr__(self):
@@ -404,35 +420,43 @@ class WeylOp(TermMap):
 
 
 def _weyl_view(op: WeylOp):
-    """op's terms as (z, d, z_items, d_items, coeff) rows, plus the rows
-    bucketed by each index where z is nonzero; built on first use and kept,
-    which is sound because a WeylOp is never mutated."""
+    """op's terms as (z, d, z_items, d_items, coeff) rows, a real coeff
+    kept plain (its int or Fraction part), plus the contraction index: a
+    left term's derivative exponents -> op's rows whose multiplications
+    they meet, each entry filled on first use.  Both are kept, which is
+    sound because a WeylOp is never mutated; the index holds rows only."""
     try:
         return op._view
     except AttributeError:
         pass
-    rows = [(z, d, _items(z), _items(d), c) for (z, d), c in op.terms.items()]
-    buckets: dict = {}
-    for row in rows:
-        for i, _ in row[2]:
-            buckets.setdefault(i, []).append(row)
-    op._view = rows, buckets
+    rows = [(z, d, _items(z), _items(d), c.re if not c.im else c) for (z, d), c in op.terms.items()]
+    op._view = rows, {}
     return op._view
 
 
+def _gauss_values(out: dict) -> dict:
+    """Wrap the kernel's plain coefficients in out back to GaussRat, in place."""
+    for key, c in out.items():
+        if type(c) is not GaussRat:
+            out[key] = _gauss(c, 0)
+    return out
+
+
 def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool, sign: int):
-    """Add sign * (left @ right) into out and return it; see WeylOp.__matmul__.
+    """Add sign * (left @ right) into out and return it, its values plain
+    where both rows' coefficients are; see WeylOp.__matmul__.
 
     contracted_only drops the j = 0 term of every term pair: a pair whose
     left derivatives meet no right multiplication has no other term, so
-    a left term visits only the right terms bucketed under its derivative
-    indices, each once even when it sits in several of those buckets.
+    a left term visits only the rows right's contraction index lists for it.
     """
-    rows_b, buckets = _weyl_view(right)
+    rows_b, contractions = _weyl_view(right)
     partners = rows_b
-    for za, _, _, lower, ca in _weyl_view(left)[0]:
+    for za, da, _, lower, ca in _weyl_view(left)[0]:
         if contracted_only:
-            partners = {id(r): r for i, _ in lower for r in buckets.get(i, ())}.values()
+            partners = contractions.get(da)
+            if partners is None:
+                partners = contractions[da] = [r for r in rows_b if any(r[0][i] for i, _ in lower)]
         for zb, db, raise_b, _, cb in partners:
             znew = list(za)
             for i, x in raise_b:
@@ -463,7 +487,7 @@ def weyl_commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     a @ b equals that of the swapped pair in b @ a, so the two cancel."""
     a._require_same_shape(b)
     out = _compose_into({}, a, b, True, 1)
-    return WeylOp._new(a.shape, _compose_into(out, b, a, True, -1))
+    return WeylOp._new(a.shape, _gauss_values(_compose_into(out, b, a, True, -1)))
 
 
 # Generators are built once per rank and shared: a WeylOp is never mutated,
@@ -578,12 +602,25 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
         return 1 if i == j else 0
 
     def combo(table, pieces):
+        live = [(coeff, table[idx]) for coeff, idx in pieces if coeff]
+        if len(live) == 1 and live[0][0] == 1:
+            return live[0][1]
         out: dict = {}
-        for coeff, idx in pieces:
-            if coeff:
-                for key, c in table[idx].terms.items():
-                    add_into(out, key, c * coeff)
+        for coeff, op in live:
+            for key, c in op.terms.items():
+                add_into(out, key, c if coeff == 1 else c * coeff)
         return WeylOp._new(shape, out)
+
+    # Each distinct (x, y) commutator once per call, by operator identity:
+    # P_ab and P_ba are one object.  The dict dies with the call.
+    brackets: dict = {}
+
+    def bracket(x, y):
+        key = (id(x), id(y))
+        out = brackets.get(key)
+        if out is None:
+            out = brackets[key] = weyl_commutator(x, y)
+        return out
 
     rng = range(1, n + 1)
     checked = 0
@@ -592,18 +629,18 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
         for b in rng:
             for c in rng:
                 for e in rng:
-                    ok &= weyl_commutator(e_ops[(a, b)], e_ops[(c, e)]) == combo(
+                    ok &= bracket(e_ops[(a, b)], e_ops[(c, e)]) == combo(
                         e_ops, [(d(b, c), (a, e)), (-d(a, e), (c, b))]
                     )
-                    ok &= weyl_commutator(e_ops[(a, b)], p_ops[(c, e)]) == combo(
+                    ok &= bracket(e_ops[(a, b)], p_ops[(c, e)]) == combo(
                         p_ops, [(d(b, c), (a, e)), (d(b, e), (a, c))]
                     )
-                    ok &= weyl_commutator(e_ops[(a, b)], d_ops[(c, e)]) == combo(
+                    ok &= bracket(e_ops[(a, b)], d_ops[(c, e)]) == combo(
                         d_ops, [(-d(a, c), (b, e)), (-d(a, e), (b, c))]
                     )
                     # E-index placement is forced by the E_ab = sum_i Z_ai d_bi
                     # convention the first three families already pin down.
-                    ok &= weyl_commutator(p_ops[(a, b)], d_ops[(c, e)]) == combo(
+                    ok &= bracket(p_ops[(a, b)], d_ops[(c, e)]) == combo(
                         e_ops,
                         [
                             (d(a, c), (b, e)),
@@ -612,8 +649,8 @@ def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
                             (d(b, e), (a, c)),
                         ],
                     )
-                    ok &= weyl_commutator(p_ops[(a, b)], p_ops[(c, e)]).is_zero()
-                    ok &= weyl_commutator(d_ops[(a, b)], d_ops[(c, e)]).is_zero()
+                    ok &= bracket(p_ops[(a, b)], p_ops[(c, e)]).is_zero()
+                    ok &= bracket(d_ops[(a, b)], d_ops[(c, e)]).is_zero()
                     checked += 6
     return checked, bool(ok)
 

@@ -85,8 +85,8 @@ def parse(text: str) -> Signature:
 class GroupFamily(namedtuple("GroupFamily", "family rank")):
     """A classical family label: family in {"u", "so", "sp"} plus rank.
 
-    Rank is a positive integer, or the string "stable" for inductive-limit
-    decompositions.
+    Rank is a positive integer (not a bool), or the string "stable" for
+    inductive-limit decompositions.
     """
 
     __slots__ = ()
@@ -95,7 +95,7 @@ class GroupFamily(namedtuple("GroupFamily", "family rank")):
         if family not in ("u", "so", "sp"):
             raise ValueError(f"unknown family {family!r}")
         if rank != "stable":
-            if not isinstance(rank, int) or rank < 1:
+            if type(rank) is bool or not isinstance(rank, int) or rank < 1:
                 raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
             if family == "sp" and rank % 2 != 0:
                 raise OddRankForSp(f"Sp rank must be even, got {rank}")

@@ -932,6 +932,127 @@ def test_commutator_kernel_on_reused_operators_matches_every_term_pair():
     assert not weyl_commutator(x, y).is_zero()
 
 
+def _distinct_ops(fam):
+    """The distinct operator objects of a generator family, in table order."""
+    return list({id(op): op for ops in fam.values() for op in ops.values()}.values())
+
+
+def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
+    """At n = 2 the 96 relations meet 67 distinct (x, y) pairs, since P_ab
+    and P_ba (and D_ab and D_ba) are one object; a commutator is two
+    compositions, and a second call recomputes them all."""
+    import isotypic.fock as fock
+
+    calls = []
+    compose = fock._compose_into
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(fock, "_compose_into", counted)
+    for rounds in (1, 2):
+        assert verify_sp2n(2, 3) == (96, True)
+        assert len(calls) == 134 * rounds
+
+
+def test_contraction_index_lists_rows_and_is_built_once():
+    """Each operator's contraction index maps a left term's derivative
+    exponents to the very rows of the operator whose multiplications they
+    meet; a second verifier call finds every entry it needs built."""
+    import isotypic.fock as fock
+
+    ops = _distinct_ops(sp2n_generators(2, 3))
+    verify_sp2n(2, 3)
+    entries = {}
+    for op in ops:
+        rows, index = fock._weyl_view(op)
+        for d, listed in index.items():
+            assert type(d) is tuple and len(d) == op.shape.nvars
+            assert [id(r) for r in listed] == [
+                id(r) for r in rows if any(x and r[0][i] for i, x in enumerate(d))
+            ]
+        entries[id(op)] = list(index)
+    assert any(entries.values())
+    verify_sp2n(2, 3)
+    assert {id(op): list(fock._weyl_view(op)[1]) for op in ops} == entries
+
+
+def test_per_call_commutators_do_not_hide_a_broken_generator(monkeypatch):
+    """A broken generator fails its relations with the same counts, on every
+    call, and the verifiers hold again once it is gone: no commutator
+    outlives its call.  Scaling P_12 (one object, also P_21) by 2 breaks
+    [P_12, D_ce]; a scaled Laplacian still commutes with the others, so the
+    u(p,q) poison adds the multiplication p_11 to delta_11."""
+    import isotypic.fock as fock
+
+    real_sp2n, real_supq = fock._sp2n_family, fock._supq_family
+
+    def poisoned_sp2n(n, k):
+        fam = {name: dict(ops) for name, ops in real_sp2n(n, k).items()}
+        fam["P"][(1, 2)] = fam["P"][(2, 1)] = fam["P"][(1, 2)] * 2
+        return fam
+
+    def poisoned_supq(p, q, k):
+        fam = {name: dict(ops) for name, ops in real_supq(p, q, k).items()}
+        fam["delta"][(1, 1)] = fam["delta"][(1, 1)] + fam["p"][(1, 1)]
+        return fam
+
+    assert verify_sp2n(2, 3) == (96, True)
+    assert verify_supq(2, 2, 3) == (32, True)
+    monkeypatch.setattr(fock, "_sp2n_family", poisoned_sp2n)
+    monkeypatch.setattr(fock, "_supq_family", poisoned_supq)
+    fam = sp2n_generators(2, 3)
+    assert fam["P"][(1, 2)] is fam["P"][(2, 1)]
+    for _ in range(2):
+        assert verify_sp2n(2, 3) == (96, False)
+        assert verify_supq(2, 2, 3) == (32, False)
+    monkeypatch.undo()
+    assert verify_sp2n(2, 3) == (96, True)
+    assert verify_supq(2, 2, 3) == (32, True)
+
+
+def _typed_terms(op):
+    return {key: (type(c), type(c.re), c.re, type(c.im), c.im) for key, c in op.terms.items()}
+
+
+def test_kernel_values_are_gaussrat_and_generators_stay_unchanged():
+    """Plain int and Fraction coefficients stay inside the Weyl kernel: over
+    the benchmark's rank range every value of @, weyl_commutator and apply
+    is a GaussRat whose integral parts are ints, and the verifiers leave
+    every generator's terms as they were."""
+    rng = random.Random(29)
+    families = [list(sl2_generators(*args)) for args in WORKLOAD_RANKS["sl2"]]
+    families += [_distinct_ops(sp2n_generators(*args)) for args in WORKLOAD_RANKS["sp2n"]]
+    families += [_distinct_ops(supq_laplacians(*args)) for args in WORKLOAD_RANKS["supq"]]
+    before = [[(op.terms, _typed_terms(op)) for op in ops] for ops in families]
+
+    def check(result):
+        for c in result.terms.values():
+            assert type(c) is GaussRat
+            for part in (c.re, c.im):
+                assert type(part) is int or part.denominator != 1
+
+    for ops in families:
+        f = random_poly(ops[0].shape, rng)
+        for x in ops:
+            check(x.apply(f))
+            check(x.apply(f * f))
+            for y in ops:
+                check(x @ y)
+                check(weyl_commutator(x, y))
+    verifiers = {"sl2": verify_sl2, "sp2n": verify_sp2n, "supq": verify_supq}
+    for name, ranks in WORKLOAD_RANKS.items():
+        for args in ranks:
+            assert verifiers[name](*args)[1], (name, args)
+    after = [[(op.terms, _typed_terms(op)) for op in ops] for ops in families]
+    assert all(
+        old_terms is new_terms and old == new
+        for old_ops, new_ops in zip(before, after)
+        for (old_terms, old), (new_terms, new) in zip(old_ops, new_ops)
+    )
+
+
 # The highest weight vectors the fock_identities benchmark draws, with the
 # signature each is tested against: (kind, data, n, k, exponents).
 def _workload_hwvs():

@@ -7,9 +7,10 @@ from isotypic.branching import (
     restrict_gl_to_so,
     restrict_gl_to_sp,
 )
+from isotypic.characters import schur_product_decompose
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint
 from isotypic.fock import FockShape
-from isotypic.lr import lr_coefficient, tensor_multi, tensor_pair
+from isotypic.lr import lr_coefficient, tensor_mixed, tensor_multi, tensor_pair
 from isotypic.signatures import (
     GroupFamily,
     canonicalize,
@@ -179,6 +180,25 @@ def test_group_family_replace_checks_the_new_fields():
     assert GroupFamily("sp", 4)._replace(rank=6) == GroupFamily("sp", 6)
     with pytest.raises(OddRankForSp):
         GroupFamily("sp", 4)._replace(rank=5)
+
+
+def test_bool_rank_is_rejected():
+    """A bool is an int in Python, but no rank: the label and every engine
+    entry that builds one reject it with the message of any other bad rank."""
+    for rank in (True, False):
+        with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
+            GroupFamily("u", rank)
+    with pytest.raises(RankConstraint):
+        GroupFamily("u", 1)._replace(rank=True)
+    for call in (
+        lambda: tensor_multi([(1,), (1,)], True),
+        lambda: tensor_pair((1,), (1,), True),
+        lambda: tensor_mixed((1,), (-1,), True),
+        lambda: restrict_gl_to_so((), True),
+        lambda: schur_product_decompose((1,), (1,), True),
+    ):
+        with pytest.raises(RankConstraint, match="got True$"):
+            call()
 
 
 def test_iter_partitions_counts():
