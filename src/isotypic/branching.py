@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .characters import _torus_dominant_weights, weyl_fold
-from .errors import OddRank, OutsideStableRange, RankTooSmall
+from .errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
 from .lr import Decomposition, _lr_table
 from .signatures import GroupFamily, Signature, canonicalize, iter_partitions, weight
 
@@ -66,8 +66,16 @@ def _littlewood_terms(lam: Signature, deltas) -> dict:
     return terms
 
 
+def _reject_bool(*ranks):
+    """A bool is an int, but no rank: refuse it before any other check."""
+    for rank in ranks:
+        if type(rank) is bool:
+            raise RankConstraint(f"rank must be a positive integer, got {rank}")
+
+
 def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to SO(k) (stable range only)."""
+    _reject_bool(k)
     lam = canonicalize(lam)
     if 2 * len(lam) >= k:
         raise OutsideStableRange(
@@ -79,6 +87,7 @@ def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
 
 def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to Sp(k), k even (stable range)."""
+    _reject_bool(k)
     lam = canonicalize(lam)
     if k % 2:
         raise OddRank(f"Sp rank must be even, got {k}")
@@ -96,6 +105,7 @@ def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     Counts lam inside mu tensored with the symmetric algebra on the
     invariant quadratics: sum over even-part delta of c^lam_{mu,delta}.
     """
+    _reject_bool(n)
     lam = canonicalize(lam)
     mu = canonicalize(mu)
     if len(lam) > n or len(mu) > n:
@@ -123,6 +133,7 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     an LR table, so the comparison with side B is between independent
     computations.
     """
+    _reject_bool(n, k)
     lam = canonicalize(lam)
     if len(lam) > n:
         raise RankTooSmall(f"signature {list(lam)} needs n >= {len(lam)}")

@@ -24,10 +24,10 @@ native numbers and ``@`` and ``weyl_commutator`` wrap each output value
 in a GaussRat once.  Commutators keep only contracted terms, since the
 uncontracted ones of ab and ba cancel: each operator's contraction index
 lists, per left derivative exponents, the rows they meet, so a
-commutator visits only the term pairs that contract.  On them rest the
-relation checks ``verify_sl2``, ``verify_sp2n`` and ``verify_supq``;
-``verify_sp2n`` computes each distinct commutator once per call (P_ab
-and P_ba are one object) and keeps none past it.  The
+commutator visits only the term pairs that contract.  ``verify_sl2``,
+``verify_sp2n`` and ``verify_supq`` pass (x, y, pieces) rows to one check,
+``_relations_hold``, which computes each distinct commutator once per call
+and keeps none; ``verify_sl2`` reads the integer rank-1 generators.  The
 quadratic generators come from one polynomial, the pairing
 q_rs = sum_i x_ri x_si of two block rows, as multiplication by it and as
 q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
@@ -491,11 +491,12 @@ def weyl_commutator(a: WeylOp, b: WeylOp) -> WeylOp:
 
 
 # Generators are built once per rank and shared: a WeylOp is never mutated,
-# so its term index (_weyl_view) then serves every later query.
+# so its term index (_weyl_view) then serves every later query.  Typed: a
+# bool rank never reads its int's entry.
 _GENERATOR_MEMO = 1 << 5
 
 
-@lru_cache(maxsize=_GENERATOR_MEMO)
+@lru_cache(maxsize=_GENERATOR_MEMO, typed=True)
 def sl2_generators(k: int):
     """The ladder triple (E, X+, X-) = (E_11, -P_11/2, D_11/2) of the rank-1
     oscillator algebra on one row of k variables, shared by every call."""
@@ -519,7 +520,7 @@ def _fresh(fam):
     return {name: dict(ops) for name, ops in fam.items()}
 
 
-@lru_cache(maxsize=_GENERATOR_MEMO)
+@lru_cache(maxsize=_GENERATOR_MEMO, typed=True)
 def _sp2n_family(n, k):
     _require_positive("the oscillator algebra", n=n, k=k)
     shape = FockShape(n, k)
@@ -562,7 +563,7 @@ def supq_laplacians(p: int, q: int, k: int):
     return _fresh(_supq_family(p, q, k))
 
 
-@lru_cache(maxsize=_GENERATOR_MEMO)
+@lru_cache(maxsize=_GENERATOR_MEMO, typed=True)
 def _supq_family(p, q, k):
     _require_positive("the u(p,q) quadratics", p=p, q=q, k=k)
     shape = FockShape(p, k, q)
@@ -577,96 +578,71 @@ def _supq_family(p, q, k):
 
 def _require_positive(algebra: str, **ranks):
     for name, value in ranks.items():
-        if value < 1:
+        if type(value) is bool or value < 1:
             raise RankTooSmall(f"{algebra} needs {name} >= 1, got {name}={value}")
 
 
+def _relations_hold(relations) -> tuple[int, bool]:
+    """(row count, all hold) for rows (x, y, pieces): [x, y] = sum of coeff * op
+    over the pieces, 0 if none.  Each distinct (x, y) commutator is computed
+    once per call, by operator identity; every row runs, even after a failure."""
+    brackets: dict = {}
+    ok = True
+    for x, y, pieces in relations:
+        key = (id(x), id(y))
+        got = brackets.get(key)
+        if got is None:
+            got = brackets[key] = weyl_commutator(x, y).terms
+        if not pieces:
+            ok &= not got
+            continue
+        want: dict = {}
+        for coeff, op in pieces:
+            if coeff:
+                for term, c in op.terms.items():
+                    add_into(want, term, c if coeff == 1 else c * coeff)
+        ok &= got == want
+    return len(relations), ok
+
+
 def verify_sl2(k: int) -> tuple[int, bool]:
-    """Check the three ladder relations at rank k."""
-    e_op, xp, xm = sl2_generators(k)
-    checks = [
-        weyl_commutator(e_op, xp) == 2 * xp,
-        weyl_commutator(e_op, xm) == (-2) * xm,
-        weyl_commutator(xm, xp) == e_op,
-    ]
-    return len(checks), all(checks)
+    """Check the three ladder relations at rank k on the integer generators:
+    [E, P] = 2P, [E, D] = -2D and [P, D] = 4E are those of the ladder triple
+    (E, -P/2, D/2) times nonzero constants, so they decide the same thing."""
+    _require_positive("the ladder triple", k=k)
+    fam = _sp2n_family(1, k)
+    e, p, d = fam["E"][1, 1], fam["P"][1, 1], fam["D"][1, 1]
+    return _relations_hold([(e, p, [(2, p)]), (e, d, [(-2, d)]), (p, d, [(4, e)])])
 
 
 def verify_sp2n(n: int, k: int) -> tuple[int, bool]:
     """Check every index instance of the six commutation relation families."""
-    fam = sp2n_generators(n, k)
-    e_ops, p_ops, d_ops = fam["E"], fam["P"], fam["D"]
-    shape = FockShape(n, k)
-
-    def d(i, j):
-        return 1 if i == j else 0
-
-    def combo(table, pieces):
-        live = [(coeff, table[idx]) for coeff, idx in pieces if coeff]
-        if len(live) == 1 and live[0][0] == 1:
-            return live[0][1]
-        out: dict = {}
-        for coeff, op in live:
-            for key, c in op.terms.items():
-                add_into(out, key, c if coeff == 1 else c * coeff)
-        return WeylOp._new(shape, out)
-
-    # Each distinct (x, y) commutator once per call, by operator identity:
-    # P_ab and P_ba are one object.  The dict dies with the call.
-    brackets: dict = {}
-
-    def bracket(x, y):
-        key = (id(x), id(y))
-        out = brackets.get(key)
-        if out is None:
-            out = brackets[key] = weyl_commutator(x, y)
-        return out
-
-    rng = range(1, n + 1)
-    checked = 0
-    ok = True
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for e in rng:
-                    ok &= bracket(e_ops[(a, b)], e_ops[(c, e)]) == combo(
-                        e_ops, [(d(b, c), (a, e)), (-d(a, e), (c, b))]
-                    )
-                    ok &= bracket(e_ops[(a, b)], p_ops[(c, e)]) == combo(
-                        p_ops, [(d(b, c), (a, e)), (d(b, e), (a, c))]
-                    )
-                    ok &= bracket(e_ops[(a, b)], d_ops[(c, e)]) == combo(
-                        d_ops, [(-d(a, c), (b, e)), (-d(a, e), (b, c))]
-                    )
-                    # E-index placement is forced by the E_ab = sum_i Z_ai d_bi
-                    # convention the first three families already pin down.
-                    ok &= bracket(p_ops[(a, b)], d_ops[(c, e)]) == combo(
-                        e_ops,
-                        [
-                            (d(a, c), (b, e)),
-                            (d(a, e), (b, c)),
-                            (d(b, c), (a, e)),
-                            (d(b, e), (a, c)),
-                        ],
-                    )
-                    ok &= bracket(p_ops[(a, b)], p_ops[(c, e)]).is_zero()
-                    ok &= bracket(d_ops[(a, b)], d_ops[(c, e)]).is_zero()
-                    checked += 6
-    return checked, bool(ok)
+    fam = _sp2n_family(n, k)
+    e, p, d = fam["E"], fam["P"], fam["D"]
+    rows = []
+    for a, b, c, f in _iterproduct(range(1, n + 1), repeat=4):
+        # Kronecker deltas as int coefficients; [P, D]'s E-indices are forced
+        # by the E_ab = sum_i Z_ai d_bi convention the first three pin down.
+        rows += [
+            (e[a, b], e[c, f], [(int(b == c), e[a, f]), (-(a == f), e[c, b])]),
+            (e[a, b], p[c, f], [(int(b == c), p[a, f]), (int(b == f), p[a, c])]),
+            (e[a, b], d[c, f], [(-(a == c), d[b, f]), (-(a == f), d[b, c])]),
+            (p[a, b], d[c, f], [(int(a == c), e[b, f]), (int(a == f), e[b, c]),
+                                (int(b == c), e[a, f]), (int(b == f), e[a, c])]),
+            (p[a, b], p[c, f], []),
+            (d[a, b], d[c, f], []),
+        ]
+    return _relations_hold(rows)
 
 
 def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
     """Check that the invariant quadratics and Laplacians each commute."""
-    fam = supq_laplacians(p, q, k)
-    pairs = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
-    checked = 0
-    ok = True
-    for first in pairs:
-        for second in pairs:
-            ok &= weyl_commutator(fam["p"][first], fam["p"][second]).is_zero()
-            ok &= weyl_commutator(fam["delta"][first], fam["delta"][second]).is_zero()
-            checked += 2
-    return checked, bool(ok)
+    fam = _supq_family(p, q, k)
+    mult, lap = fam["p"], fam["delta"]
+    rows = []
+    for x, y in _iterproduct(mult, repeat=2):
+        rows += [(mult[x], mult[y], []), (lap[x], lap[y], [])]
+    return _relations_hold(rows)
 
 
 def radial_square(k: int) -> FockPoly:

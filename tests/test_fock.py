@@ -937,10 +937,8 @@ def _distinct_ops(fam):
     return list({id(op): op for ops in fam.values() for op in ops.values()}.values())
 
 
-def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
-    """At n = 2 the 96 relations meet 67 distinct (x, y) pairs, since P_ab
-    and P_ba (and D_ab and D_ba) are one object; a commutator is two
-    compositions, and a second call recomputes them all."""
+def _count_compositions(monkeypatch):
+    """Patch the Weyl kernel to record its calls; return the record."""
     import isotypic.fock as fock
 
     calls = []
@@ -951,9 +949,77 @@ def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
         return compose(*args)
 
     monkeypatch.setattr(fock, "_compose_into", counted)
-    for rounds in (1, 2):
-        assert verify_sp2n(2, 3) == (96, True)
-        assert len(calls) == 134 * rounds
+    return calls
+
+
+def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
+    """At n = 2 the 96 relations meet 67 distinct (x, y) pairs, since P_ab
+    and P_ba (and D_ab and D_ba) are one object; a commutator is two
+    compositions, and a second call recomputes them all.  verify_sl2 has 3
+    distinct pairs and verify_supq(2, 2, 3) 32, one per relation."""
+    calls = _count_compositions(monkeypatch)
+    for verify, args, result, per_call in (
+        (verify_sp2n, (2, 3), (96, True), 134),
+        (verify_sl2, (4,), (3, True), 6),
+        (verify_supq, (2, 2, 3), (32, True), 64),
+    ):
+        calls.clear()
+        for rounds in (1, 2):
+            assert verify(*args) == result
+            assert len(calls) == per_call * rounds, verify.__name__
+
+
+def test_verify_sl2_multiplies_no_fraction(monkeypatch):
+    """verify_sl2 decides the ladder relations on the integer generators:
+    with them built, a call makes no Fraction product at even k and at most
+    one at odd k (the k/2 constant of E_11 times 4)."""
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+
+        def counted(a, b, real=real):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    for k in range(2, 7):
+        verify_sl2(k)
+        products.clear()
+        assert verify_sl2(k) == (3, True)
+        assert len(products) <= k % 2, (k, products)
+
+
+def test_relations_hold_rejects_mutant_rows_and_runs_every_row(monkeypatch):
+    """The primitive behind the three verifiers: a wrong coefficient, a
+    missing piece or an extra piece fails its row, a zero coefficient is
+    skipped, and a failing first row still leaves every later commutator
+    computed, so the composition count does not change."""
+    import isotypic.fock as fock
+
+    fam = sp2n_generators(2, 3)
+    e, p, d = fam["E"], fam["P"], fam["D"]
+    rows = [
+        (e[1, 1], p[1, 1], [(2, p[1, 1])]),
+        (p[1, 2], d[1, 2], [(1, e[1, 1]), (1, e[2, 2])]),
+        (e[2, 1], d[1, 2], [(-1, d[1, 1])]),
+        (p[1, 1], p[1, 2], []),
+    ]
+    calls = _count_compositions(monkeypatch)
+    assert fock._relations_hold(rows) == (4, True)
+    assert len(calls) == 8
+    zeros = [(x, y, [(0, d[2, 2])] + pieces + [(0, e[1, 2])]) for x, y, pieces in rows]
+    assert fock._relations_hold(zeros) == (4, True)
+    for mutant in (
+        (e[1, 1], p[1, 1], [(3, p[1, 1])]),
+        (p[1, 2], d[1, 2], [(1, e[1, 1])]),
+        (p[1, 2], d[1, 2], []),
+        (p[1, 2], d[1, 2], [(1, e[1, 1]), (1, e[2, 2]), (1, e[1, 2])]),
+        (e[2, 1], d[1, 2], [(-1, d[1, 1]), (1, p[1, 1])]),
+    ):
+        calls.clear()
+        assert fock._relations_hold([mutant] + rows) == (5, False)
+        assert len(calls) == 8
+        assert fock._relations_hold(rows + [mutant]) == (5, False)
 
 
 def test_contraction_index_lists_rows_and_is_built_once():
@@ -982,7 +1048,8 @@ def test_per_call_commutators_do_not_hide_a_broken_generator(monkeypatch):
     """A broken generator fails its relations with the same counts, on every
     call, and the verifiers hold again once it is gone: no commutator
     outlives its call.  Scaling P_12 (one object, also P_21) by 2 breaks
-    [P_12, D_ce]; a scaled Laplacian still commutes with the others, so the
+    [P_12, D_ce], and scaling P_11 at n = 1 breaks verify_sl2's
+    [P, D] = 4E; a scaled Laplacian still commutes with the others, so the
     u(p,q) poison adds the multiplication p_11 to delta_11."""
     import isotypic.fock as fock
 
@@ -990,7 +1057,8 @@ def test_per_call_commutators_do_not_hide_a_broken_generator(monkeypatch):
 
     def poisoned_sp2n(n, k):
         fam = {name: dict(ops) for name, ops in real_sp2n(n, k).items()}
-        fam["P"][(1, 2)] = fam["P"][(2, 1)] = fam["P"][(1, 2)] * 2
+        ab = (1, 2) if n > 1 else (1, 1)
+        fam["P"][ab] = fam["P"][ab[::-1]] = fam["P"][ab] * 2
         return fam
 
     def poisoned_supq(p, q, k):
@@ -1000,6 +1068,7 @@ def test_per_call_commutators_do_not_hide_a_broken_generator(monkeypatch):
 
     assert verify_sp2n(2, 3) == (96, True)
     assert verify_supq(2, 2, 3) == (32, True)
+    assert verify_sl2(3) == (3, True)
     monkeypatch.setattr(fock, "_sp2n_family", poisoned_sp2n)
     monkeypatch.setattr(fock, "_supq_family", poisoned_supq)
     fam = sp2n_generators(2, 3)
@@ -1007,9 +1076,11 @@ def test_per_call_commutators_do_not_hide_a_broken_generator(monkeypatch):
     for _ in range(2):
         assert verify_sp2n(2, 3) == (96, False)
         assert verify_supq(2, 2, 3) == (32, False)
+        assert verify_sl2(3) == (3, False)
     monkeypatch.undo()
     assert verify_sp2n(2, 3) == (96, True)
     assert verify_supq(2, 2, 3) == (32, True)
+    assert verify_sl2(3) == (3, True)
 
 
 def _typed_terms(op):

@@ -8,8 +8,8 @@ from isotypic.branching import (
     restrict_gl_to_sp,
 )
 from isotypic.characters import schur_product_decompose
-from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint
-from isotypic.fock import FockShape
+from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint, RankTooSmall
+from isotypic.fock import FockShape, hwv, verify_sl2, verify_sp2n, verify_supq
 from isotypic.lr import lr_coefficient, tensor_mixed, tensor_multi, tensor_pair
 from isotypic.signatures import (
     GroupFamily,
@@ -184,7 +184,9 @@ def test_group_family_replace_checks_the_new_fields():
 
 def test_bool_rank_is_rejected():
     """A bool is an int in Python, but no rank: the label and every engine
-    entry that builds one reject it with the message of any other bad rank."""
+    entry that builds one reject it with the message of any other bad rank,
+    the branching entries before any other check, and the Fock entries as a
+    rank below 1, even after the same call at rank 1 filled their memos."""
     for rank in (True, False):
         with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
             GroupFamily("u", rank)
@@ -195,9 +197,27 @@ def test_bool_rank_is_rejected():
         lambda: tensor_pair((1,), (1,), True),
         lambda: tensor_mixed((1,), (-1,), True),
         lambda: restrict_gl_to_so((), True),
+        lambda: restrict_gl_to_so((), False),
+        lambda: restrict_gl_to_sp((), True),
+        lambda: restrict_gl_to_sp((), False),
+        lambda: reciprocity_check((), True, True),
+        lambda: reciprocity_check((), 1, True),
+        lambda: dual_side_multiplicity((), (), True),
         lambda: schur_product_decompose((1,), (1,), True),
     ):
-        with pytest.raises(RankConstraint, match="got True$"):
+        with pytest.raises(RankConstraint, match="^rank must be a positive integer, got (True|False)$"):
+            call()
+    assert (verify_sl2(1), verify_sp2n(1, 2), verify_supq(1, 1, 2)) == ((3, True), (6, True), (2, True))
+    for call in (
+        lambda: verify_sl2(True),
+        lambda: verify_sl2(False),
+        lambda: verify_sp2n(True, 2),
+        lambda: verify_supq(True, 1, 2),
+        lambda: verify_supq(1, 1, True),
+        lambda: hwv("gl", (1,), True, True),
+        lambda: hwv("so_rank1", 0, 1, True),
+    ):
+        with pytest.raises(RankTooSmall, match="got [a-z]=(True|False)$"):
             call()
 
 
