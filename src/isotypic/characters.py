@@ -1,4 +1,4 @@
-"""Character oracles: Weyl dimension formulas and exact Laurent characters.
+"""Character oracles: cell-product dimension formulas and exact Laurent characters.
 
 Everything here verifies the LR/branching combinatorics by a disjoint
 route: GL characters come from semistandard tableau enumeration, SO
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import prod
+from itertools import accumulate, permutations, product
 from operator import index
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     SignatureTooLong,
 )
 from .lr import Decomposition
-from .signatures import GroupFamily, Signature, canonicalize, pad, trim
+from .signatures import GroupFamily, Signature, canonicalize, trim
 from .terms import DensePoly, add_into, leibniz_det
 
 DESK_RANK_LIMIT = 7
@@ -217,39 +216,37 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
     )
 
 
+def _conjugate(sig: Signature) -> Signature:
+    """The column lengths of sig: column j counts the parts >= j, summed from the top down."""
+    return tuple(accumulate(map(sig.count, range(sig[0], 0, -1))))[::-1] if sig else ()
+
+
 def dim(group: GroupFamily, sig: Signature) -> int:
-    """Exact dimension of the irreducible representation via Weyl products."""
+    """Exact dimension of the irreducible: prod (k + c) / prod h over the cells of sig.
+
+    h is the hook length; c is the content j - i for U(k) (R. P. Stanley, Enumerative
+    Combinatorics 2, Cor. 7.21.4) and N. El Samra and R. C. King's term for SO(k) and Sp(k)
+    (J. Phys. A 12 (1979) 2317), whose SO form counts O(k); cells (i, j) count from 1.
+    """
     sig = canonicalize(sig)
     if group.rank == "stable":
         raise RankConstraint("dimension requires a finite rank")
     group.check_signature(sig)
-    k = group.rank
-    if group.family == "u":
-        lam = pad(sig, k)
-        num = prod(lam[i] - lam[j] + j - i for i in range(k) for j in range(i + 1, k))
-        den = prod(j - i for i in range(k) for j in range(i + 1, k))
-    else:
-        # Types C, B, D: b is rho and a = lam + rho, both doubled for B to
-        # stay integral; only C and B have the linear factors a_i/b_i.
-        half = k // 2
-        if group.family == "sp":
-            scale, linear, b = 1, True, [half - i for i in range(half)]
-        elif k % 2:
-            scale, linear, b = 2, True, [2 * (half - i) - 1 for i in range(half)]
-        else:
-            scale, linear, b = 1, False, [half - i - 1 for i in range(half)]
-        a = [scale * m + r for m, r in zip(pad(sig, half), b)]
-        num, den = (prod(a), prod(b)) if linear else (1, 1)
-        for i in range(half):
-            for j in range(i + 1, half):
-                num *= a[i] ** 2 - a[j] ** 2
-                den *= b[i] ** 2 - b[j] ** 2
-    val, rem = divmod(num, den)
-    if rem:
-        raise DivisionNotExact(
-            f"Weyl dimension product {Fraction(num, den)} is not integral"
-        )
-    return val
+    k, family = group.rank, group.family
+    rows, cols, s = (0, *sig), (0, *_conjugate(sig)), 2 * (family == "sp")
+    num, den = 1, 2 if family == "so" and 2 * len(sig) == k else 1  # O(k): two SO(k) irreps
+    for i in range(1, len(rows)):
+        for j in range(1, rows[i] + 1):
+            den *= rows[i] - j + cols[j] - i + 1
+            if family == "u":
+                num *= k + j - i
+            elif i >= j + s // 2:  # on or below the diagonal in SO, below it in Sp
+                num *= k + rows[i] + rows[j] - i - j + s
+            else:
+                num *= k + i + j - cols[i] - cols[j] + s - 2
+    if num % den:
+        raise DivisionNotExact(f"Weyl dimension product {Fraction(num, den)} is not integral")
+    return num // den
 
 
 def greedy_decompose(chi: LaurentPoly, group: GroupFamily) -> Decomposition:

@@ -576,10 +576,10 @@ def _supq_family(p, q, k):
     return fam
 
 
-def _require_positive(algebra: str, **ranks):
+def _require_positive(algebra: str, least=1, **ranks):
     for name, value in ranks.items():
-        if type(value) is bool or value < 1:
-            raise RankTooSmall(f"{algebra} needs {name} >= 1, got {name}={value}")
+        if type(value) is bool or value < least:
+            raise RankTooSmall(f"{algebra} needs {name} >= {least}, got {name}={value}")
 
 
 def _relations_hold(relations) -> tuple[int, bool]:
@@ -647,6 +647,7 @@ def verify_supq(p: int, q: int, k: int) -> tuple[int, bool]:
 
 def radial_square(k: int) -> FockPoly:
     """The invariant quadratic sum of Z_i^2 on one row of k variables."""
+    _require_positive("the radial square", least=0, k=k)
     return _row_pairing(FockShape(1, k), 0, 0)
 
 
@@ -661,6 +662,7 @@ def harmonic_project_rank1(f: FockPoly, k: int):
     each component is divided once, when it is emitted; the result is
     exact.
     """
+    _require_positive("harmonic projection", least=0, k=k)
     shape = FockShape(1, k)
     if f.shape != shape:
         raise ShapeMismatch(f"expected one row of {k} variables, got {f.shape}")
@@ -754,7 +756,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
             raise BadSignature("isotropic vectors need k >= 2")
         if n != 1:
             raise BadSignature(f"an isotropic linear form needs n = 1, got n={n}")
-        _require_positive("highest weight vectors", k=k)
+        _require_positive("highest weight vectors", n=n, k=k)
         shape = FockShape(1, k)
         return _isotropic(shape, 0, 0) ** r if r else FockPoly.constant(shape, 1)
     if kind == "so_general":

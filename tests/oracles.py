@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: LR coefficients come from
 enumerating every raw filling of the skew diagram, dimensions from a
-standalone tableau counter, conjugate diagrams from counting parts, the
+standalone tableau counter and from Weyl's product over the positive
+roots, conjugate diagrams from counting parts, the
 rank-1 stable branching from its closed form, quadratic operator identities from
 ad-matrices read off the term maps, the oscillator generators from term
 maps written monomial by monomial, operator conjugation from expanding
@@ -93,6 +94,40 @@ def count_ssyt(shape, k):
 
     fill(0)
     return total
+
+
+def weyl_root_dim(family, k, sig):
+    """Weyl's dimension formula: prod <lam + rho, a> / <rho, a> over the positive roots a.
+
+    For U(k) the roots are e_i - e_j (i < j <= k) on lam padded to length k.
+    For Sp(k) and SO(k), with m = k // 2, they are e_i -+ e_j (i < j <= m) and
+    the long or short roots 2e_i or e_i: in a = lam + rho each pair gives
+    a_i^2 - a_j^2 and, except for SO(2m), each i gives a_i.  Type B doubles
+    lam and rho to keep rho integral.  Returns a Fraction, so a wrong setup
+    shows as a non-integer rather than a silent floor.
+    """
+    if family == "u":
+        lam = list(sig) + [0] * (k - len(sig))
+        num = den = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                num *= lam[i] - lam[j] + j - i
+                den *= j - i
+        return Fraction(num, den)
+    m = k // 2
+    scale = 2 if family == "so" and k % 2 else 1
+    rho = [scale * (m - i) - (1 if family == "so" else 0) for i in range(m)]
+    a = [scale * part + r for part, r in zip(list(sig) + [0] * (m - len(sig)), rho)]
+    num = den = 1
+    if family == "sp" or k % 2:
+        for x, r in zip(a, rho):
+            num *= x
+            den *= r
+    for i in range(m):
+        for j in range(i + 1, m):
+            num *= a[i] ** 2 - a[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    return Fraction(num, den)
 
 
 def conjugate(sig):

@@ -35,6 +35,7 @@ from oracles import (
     invert_exponent,
     laurent_div,
     so_character_by_alternants,
+    weyl_root_dim,
 )
 
 
@@ -91,6 +92,39 @@ def test_dim_gl_matches_tableau_count():
         for k in range(len(lam), 5):
             assert dim(GroupFamily("u", k), lam) == count_ssyt(lam, k)
             assert sum(schur_poly(lam, k).terms.values()) == count_ssyt(lam, k)
+
+
+def test_dim_matches_the_weyl_root_product():
+    """The cell products agree with Weyl's product over the positive roots,
+    the O(k^2) route, for every family, k <= 13 and |lam| <= 8."""
+    cases = 0
+    for family in ("u", "so", "sp"):
+        for k in range(2, 14, 2) if family == "sp" else range(1, 14):
+            for size in range(9):
+                for lam in iter_partitions(size, max_length=k if family == "u" else k // 2):
+                    got = dim(GroupFamily(family, k), lam)
+                    assert got == weyl_root_dim(family, k, lam), (family, k, lam)
+                    cases += 1
+    assert cases == 1477
+
+
+def test_dim_at_rank_ten_to_the_twenty():
+    """Work grows with the cells of lam, not with the rank: exact at k = 10^20."""
+
+    def hang(signum, frame):
+        raise TimeoutError("dim grew with the rank")
+
+    k = 10**20
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert dim(GroupFamily("u", k), (2, 1)) == k * (k * k - 1) // 3
+        assert dim(GroupFamily("so", k), (1,)) == k
+        assert dim(GroupFamily("so", k), (2,)) == k * (k + 1) // 2 - 1
+        assert dim(GroupFamily("sp", k), (1, 1)) == k * (k - 1) // 2 - 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dim_guards():
@@ -359,15 +393,11 @@ def test_greedy_decompose_only_reads_its_input_and_the_memos():
 
 
 def test_dim_reports_a_non_integral_product_as_a_reduced_fraction(monkeypatch):
-    """The message names the whole Weyl product as one reduced fraction."""
-    from fractions import Fraction
-
+    """The message names the whole cell product as one reduced fraction."""
     from isotypic import characters
 
-    monkeypatch.setattr(characters, "pad", lambda sig, rank: (Fraction(1, 2),) + (0,) * (rank - 1))
-    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 3/2 is not integral$"):
-        dim(GroupFamily("u", 2), (1,))
-    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 15/8 is not integral$"):
-        dim(GroupFamily("u", 3), (1,))
-    with pytest.raises(DivisionNotExact, match=r"^Weyl dimension product 3/2 is not integral$"):
-        dim(GroupFamily("sp", 2), (1,))
+    # A wrong conjugate makes the hook length of the one cell of (1,) 3.
+    monkeypatch.setattr(characters, "_conjugate", lambda sig: (3,))
+    for family, rank, fraction in (("u", 2, "2/3"), ("so", 5, "5/3"), ("so", 2, "1/3"), ("sp", 6, "2/3")):
+        with pytest.raises(DivisionNotExact, match=f"^Weyl dimension product {fraction} is not integral$"):
+            dim(GroupFamily(family, rank), (1,))

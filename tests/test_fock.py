@@ -369,6 +369,14 @@ def test_harmonic_projection_trivial_cases():
     # Degrees 0 and 1 are harmonic, also on a row of no variables.
     for f, k in ((z_var(shape, 1, 2), 3), (FockPoly.constant(FockShape(1, 0), 3), 0)):
         assert harmonic_project_rank1(f, k) == [(0, f)]
+    # A negative count is no row: it is refused, not read as an empty one.
+    assert radial_square(0).is_zero()
+    for call in (
+        lambda: radial_square(-1),
+        lambda: harmonic_project_rank1(FockPoly.constant(FockShape(1, -1), 1), -1),
+    ):
+        with pytest.raises(RankTooSmall, match=r"needs k >= 0, got k=-1$"):
+            call()
 
 
 def test_harmonic_projection_random_reconstruction():

@@ -9,7 +9,16 @@ from isotypic.branching import (
 )
 from isotypic.characters import schur_product_decompose
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint, RankTooSmall
-from isotypic.fock import FockShape, hwv, verify_sl2, verify_sp2n, verify_supq
+from isotypic.fock import (
+    FockPoly,
+    FockShape,
+    harmonic_project_rank1,
+    hwv,
+    radial_square,
+    verify_sl2,
+    verify_sp2n,
+    verify_supq,
+)
 from isotypic.lr import lr_coefficient, tensor_mixed, tensor_multi, tensor_pair
 from isotypic.signatures import (
     GroupFamily,
@@ -186,7 +195,8 @@ def test_bool_rank_is_rejected():
     """A bool is an int in Python, but no rank: the label and every engine
     entry that builds one reject it with the message of any other bad rank,
     the branching entries before any other check, and the Fock entries as a
-    rank below 1, even after the same call at rank 1 filled their memos."""
+    rank below their least (1, or 0 for the radial square and the harmonic
+    projection), even after the same call at rank 1 filled their memos."""
     for rank in (True, False):
         with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
             GroupFamily("u", rank)
@@ -216,6 +226,10 @@ def test_bool_rank_is_rejected():
         lambda: verify_supq(1, 1, True),
         lambda: hwv("gl", (1,), True, True),
         lambda: hwv("so_rank1", 0, 1, True),
+        lambda: hwv("so_rank1", 1, True, 3),
+        lambda: radial_square(True),
+        lambda: harmonic_project_rank1(FockPoly.constant(FockShape(1, 1), 1), True),
+        lambda: harmonic_project_rank1(FockPoly.constant(FockShape(1, 0), 1), False),
     ):
         with pytest.raises(RankTooSmall, match="got [a-z]=(True|False)$"):
             call()
