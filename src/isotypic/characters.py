@@ -1,7 +1,7 @@
 """Character oracles: cell-product dimension formulas and exact Laurent characters.
 
 Everything here verifies the LR/branching combinatorics by a disjoint
-route: GL characters come from semistandard tableau enumeration, SO
+route: GL characters come from Gelfand-Tsetlin branching, SO
 characters from the orthogonal Jacobi-Trudi determinant of restricted
 one-row characters, and decompositions are recovered by greedily peeling
 highest weights or, for SO, by the Weyl-group alternating sum over the
@@ -26,7 +26,7 @@ from .errors import (
     SignatureTooLong,
 )
 from .lr import Decomposition
-from .signatures import GroupFamily, Signature, canonicalize, trim
+from .signatures import GroupFamily, Signature, canonicalize, pad, trim
 from .terms import DensePoly, add_into, leibniz_det
 
 DESK_RANK_LIMIT = 7
@@ -52,46 +52,41 @@ class LaurentPoly(DensePoly):
         return f"<LaurentPoly {body or '0'}>"
 
 
-def _iter_ssyt_contents(shape, k):
-    """Yield the content vector (counts of 1..k) of every SSYT of shape."""
-    nrows = len(shape)
-    if nrows == 0:
-        yield (0,) * k
-        return
-    if nrows > k:
-        return
-    rows = [[0] * shape[r] for r in range(nrows)]
-    content = [0] * k
-    cells = [(r, c) for r in range(nrows) for c in range(shape[r])]
+def _gt_character(lam: Signature, k: int, width: int, slot) -> LaurentPoly:
+    """The U(k) character of lam on `width` torus coordinates, by Gelfand-Tsetlin branching.
 
-    def fill(idx):
-        if idx == len(cells):
-            yield tuple(content)
-            return
-        r, c = cells[idx]
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, k + 1):
-            rows[r][c] = v
-            content[v - 1] += 1
-            yield from fill(idx + 1)
-            content[v - 1] -= 1
-
-    yield from fill(0)
+    Row j of a pattern is a mu of length j; the next row down is any nu with
+    mu_1 >= nu_1 >= mu_2 >= ... >= nu_{j-1} >= mu_j, and the step adds sign * (|mu| - |nu|)
+    to coordinate i where slot(j) = (i, sign), nowhere where it is None (I. M. Gelfand and
+    M. L. Tsetlin, Dokl. Akad. Nauk SSSR 71 (1950) 825-828).  Each level keeps one weight
+    map per row, so each (j, mu) is expanded once and equal weights merge at every level.
+    """
+    rows = {pad(lam, k): {(0,) * width: 1}}
+    for j in range(k, 0, -1):
+        at, sign = slot(j) or (0, 0)
+        below = {}
+        for mu, weights in rows.items():
+            size = sum(mu)
+            for nu in product(*[range(mu[r + 1], mu[r] + 1) for r in range(j - 1)]):
+                c = sign * (size - sum(nu))
+                out = below.setdefault(nu, {})
+                for e, m in weights.items():
+                    if c:
+                        e = e[:at] + (e[at] + c,) + e[at + 1 :]
+                    out[e] = out.get(e, 0) + m
+        rows = below
+    return LaurentPoly._new(width, rows[()])
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=1 << 10, typed=True)
 def schur_poly(lam: Signature, k: int) -> LaurentPoly:
-    """Schur polynomial of lam in k variables, by tableau enumeration."""
+    """Schur polynomial of lam in k variables, by Gelfand-Tsetlin branching."""
     lam = canonicalize(lam)
-    terms: dict = {}
-    for content in _iter_ssyt_contents(lam, k):
-        terms[content] = terms.get(content, 0) + 1
-    return LaurentPoly._new(k, terms)
+    GroupFamily("u", k)
+    return _gt_character(lam, k, k, lambda j: (j - 1, 1)) if len(lam) <= k else LaurentPoly.zero(k)
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=1 << 10, typed=True)
 def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     """Restrict the U(k) character of lam to the SO(k) maximal torus.
 
@@ -99,16 +94,15 @@ def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     extra coordinate fixed at 1 when k is odd.
     """
     lam = canonicalize(lam)
+    GroupFamily("so", k)
     if k > DESK_RANK_LIMIT:
         raise RankTooLarge(f"rank {k} beyond desk scale {DESK_RANK_LIMIT}")
     if len(lam) > k:
         raise RankConstraint(f"signature {list(lam)} too long for rank {k}")
     nu = k // 2
-    terms: dict = {}
-    for content in _iter_ssyt_contents(lam, k):
-        exps = tuple(content[i] - content[nu + i] for i in range(nu))
-        terms[exps] = terms.get(exps, 0) + 1
-    return LaurentPoly._new(nu, terms)
+    return _gt_character(
+        lam, k, nu, lambda j: (j - 1, 1) if j <= nu else (j - 1 - nu, -1) if j <= 2 * nu else None
+    )
 
 
 def dominant_weights(chi: LaurentPoly) -> tuple:

@@ -232,9 +232,16 @@ def parse_gauss(text: str) -> GaussRat:
 
 
 class FockShape(namedtuple("FockShape", "rows cols wrows", defaults=(0,))):
-    """Variable layout: rows x cols of Z, plus optional wrows x cols of W."""
+    """Variable layout: rows x cols of Z, plus optional wrows x cols of W; sizes are ints >= 0."""
 
     __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, wrows: int = 0):
+        _require_positive("a Fock shape", least=0, rows=rows, cols=cols, wrows=wrows)
+        return tuple.__new__(cls, (rows, cols, wrows))
+
+    # ``_replace`` builds through ``_make``: route it through the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def nvars(self) -> int:
@@ -500,7 +507,6 @@ _GENERATOR_MEMO = 1 << 5
 def sl2_generators(k: int):
     """The ladder triple (E, X+, X-) = (E_11, -P_11/2, D_11/2) of the rank-1
     oscillator algebra on one row of k variables, shared by every call."""
-    _require_positive("the ladder triple", k=k)
     fam = _sp2n_family(1, k)
     half = Fraction(1, 2)
     return fam["E"][(1, 1)], fam["P"][(1, 1)] * -half, fam["D"][(1, 1)] * half
@@ -578,7 +584,7 @@ def _supq_family(p, q, k):
 
 def _require_positive(algebra: str, least=1, **ranks):
     for name, value in ranks.items():
-        if type(value) is bool or value < least:
+        if type(value) is bool or not isinstance(value, int) or value < least:
             raise RankTooSmall(f"{algebra} needs {name} >= {least}, got {name}={value}")
 
 
@@ -609,7 +615,6 @@ def verify_sl2(k: int) -> tuple[int, bool]:
     """Check the three ladder relations at rank k on the integer generators:
     [E, P] = 2P, [E, D] = -2D and [P, D] = 4E are those of the ladder triple
     (E, -P/2, D/2) times nonzero constants, so they decide the same thing."""
-    _require_positive("the ladder triple", k=k)
     fam = _sp2n_family(1, k)
     e, p, d = fam["E"][1, 1], fam["P"][1, 1], fam["D"][1, 1]
     return _relations_hold([(e, p, [(2, p)]), (e, d, [(-2, d)]), (p, d, [(4, e)])])

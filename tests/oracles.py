@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here shares code with the package: LR coefficients come from
-enumerating every raw filling of the skew diagram, dimensions from a
-standalone tableau counter and from Weyl's product over the positive
-roots, conjugate diagrams from counting parts, the
+enumerating every raw filling of the skew diagram, U(k) characters and
+dimensions from a standalone tableau enumerator, dimensions also from
+Weyl's product over the positive roots, conjugate diagrams from counting parts, the
 rank-1 stable branching from its closed form, quadratic operator identities from
 ad-matrices read off the term maps, the oscillator generators from term
 maps written monomial by monomial, operator conjugation from expanding
@@ -71,29 +71,31 @@ def brute_lr(lam, mu, nu):
     return count
 
 
-def count_ssyt(shape, k):
-    """Number of semistandard tableaux of the shape with entries <= k."""
+def ssyt_contents(shape, k):
+    """Yield the content (counts of 1..k) of every semistandard tableau of
+    the shape with entries <= k: its weight in the U(k) character."""
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    if not cells:
-        return 1
-    total = 0
     grid = {}
+    content = [0] * k
 
     def fill(idx):
-        nonlocal total
         if idx == len(cells):
-            total += 1
+            yield tuple(content)
             return
         r, c = cells[idx]
-        lo = grid.get((r, c - 1), 1)
-        lo = max(lo, grid.get((r - 1, c), 0) + 1)
+        lo = max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1)
         for v in range(lo, k + 1):
             grid[(r, c)] = v
-            fill(idx + 1)
-        grid.pop((r, c), None)
+            content[v - 1] += 1
+            yield from fill(idx + 1)
+            content[v - 1] -= 1
 
-    fill(0)
-    return total
+    yield from fill(0)
+
+
+def count_ssyt(shape, k):
+    """Number of semistandard tableaux of the shape with entries <= k."""
+    return sum(1 for _ in ssyt_contents(shape, k))
 
 
 def weyl_root_dim(family, k, sig):

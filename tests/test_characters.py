@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isotypic.characters import (
     LaurentPoly,
@@ -35,6 +36,7 @@ from oracles import (
     invert_exponent,
     laurent_div,
     so_character_by_alternants,
+    ssyt_contents,
     weyl_root_dim,
 )
 
@@ -158,6 +160,48 @@ def test_schur_torus_takes_signatures_as_long_as_the_rank():
     assert schur_laurent_on_so_torus((1, 1, 1), 3).terms == {(0,): 1}
     with pytest.raises(RankConstraint):
         schur_laurent_on_so_torus((1, 1, 1), 2)
+
+
+def _tableau_characters(lam, k):
+    """The U(k) character of lam and its SO(k)-torus restriction, as term
+    dicts, by listing every semistandard tableau (x_{nu+i} -> 1/x_i)."""
+    nu = k // 2
+    u, so = {}, {}
+    for content in ssyt_contents(lam, k):
+        u[content] = u.get(content, 0) + 1
+        e = tuple(content[i] - content[nu + i] for i in range(nu))
+        so[e] = so.get(e, 0) + 1
+    return u, so
+
+
+def test_characters_match_the_tableau_enumeration():
+    """The Gelfand-Tsetlin characters equal the tableau lists on every lam of
+    length <= k, for k <= 7, with |lam| <= 8 for k <= 5 and |lam| <= 6 above."""
+    cases = 0
+    for k in range(1, 8):
+        for size in range(9 if k <= 5 else 7):
+            for lam in iter_partitions(size, max_length=k):
+                u, so = _tableau_characters(lam, k)
+                assert schur_poly(lam, k).terms == u, (lam, k)
+                assert schur_laurent_on_so_torus(lam, k).terms == so, (lam, k)
+                cases += 1
+    assert cases == 248
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=4), st.integers(1, 7))
+def test_characters_match_the_tableau_enumeration_hypothesis(parts, k):
+    """Also for lam longer than k: no tableau, the zero Schur polynomial."""
+    lam = tuple(sorted(parts, reverse=True))
+    schur_poly.cache_clear()
+    schur_laurent_on_so_torus.cache_clear()
+    u, so = _tableau_characters(lam, k)
+    assert schur_poly(lam, k).terms == u
+    if len(lam) > k:
+        with pytest.raises(RankConstraint, match="too long for rank"):
+            schur_laurent_on_so_torus(lam, k)
+    else:
+        assert schur_laurent_on_so_torus(lam, k).terms == so
 
 
 def test_so_character_examples():

@@ -373,9 +373,24 @@ def test_harmonic_projection_trivial_cases():
     assert radial_square(0).is_zero()
     for call in (
         lambda: radial_square(-1),
-        lambda: harmonic_project_rank1(FockPoly.constant(FockShape(1, -1), 1), -1),
+        lambda: harmonic_project_rank1(FockPoly.constant(FockShape(1, 0), 1), -1),
     ):
         with pytest.raises(RankTooSmall, match=r"needs k >= 0, got k=-1$"):
+            call()
+
+
+def test_fock_shape_checks_its_sizes():
+    """A shape is its own gate: a bool, a non-int or a negative size is
+    refused, also through ``_replace``; size 0 is an empty block."""
+    assert FockShape(1, 0).nvars == 0
+    assert FockShape(1, 2)._replace(wrows=1) == FockShape(1, 2, 1)
+    for call in (
+        lambda: FockShape(1, -2),
+        lambda: FockShape(True, True),
+        lambda: FockShape(1.5, 2),
+        lambda: FockShape(1, 1)._replace(cols=-1),
+    ):
+        with pytest.raises(RankTooSmall, match=r"^a Fock shape needs [a-z]+ >= 0, got "):
             call()
 
 

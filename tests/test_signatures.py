@@ -7,7 +7,7 @@ from isotypic.branching import (
     restrict_gl_to_so,
     restrict_gl_to_sp,
 )
-from isotypic.characters import schur_product_decompose
+from isotypic.characters import schur_laurent_on_so_torus, schur_poly, schur_product_decompose
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint, RankTooSmall
 from isotypic.fock import (
     FockPoly,
@@ -196,7 +196,11 @@ def test_bool_rank_is_rejected():
     entry that builds one reject it with the message of any other bad rank,
     the branching entries before any other check, and the Fock entries as a
     rank below their least (1, or 0 for the radial square and the harmonic
-    projection), even after the same call at rank 1 filled their memos."""
+    projection); the characters and the Fock entries even after the same
+    call at rank 1 filled their memos.  The characters take the label's
+    check, so a rank below 1 fails with its message too."""
+    assert schur_poly((1,), 1).terms == {(1,): 1}
+    assert schur_laurent_on_so_torus((1,), 1).terms == {(): 1}
     for rank in (True, False):
         with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
             GroupFamily("u", rank)
@@ -214,9 +218,13 @@ def test_bool_rank_is_rejected():
         lambda: reciprocity_check((), 1, True),
         lambda: dual_side_multiplicity((), (), True),
         lambda: schur_product_decompose((1,), (1,), True),
+        lambda: schur_poly((1,), True),
+        lambda: schur_laurent_on_so_torus((1,), True),
     ):
         with pytest.raises(RankConstraint, match="^rank must be a positive integer, got (True|False)$"):
             call()
+    with pytest.raises(RankConstraint, match="^rank must be a positive integer, got -1$"):
+        schur_poly((), -1)
     assert (verify_sl2(1), verify_sp2n(1, 2), verify_supq(1, 1, 2)) == ((3, True), (6, True), (2, True))
     for call in (
         lambda: verify_sl2(True),

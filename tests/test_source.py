@@ -174,6 +174,22 @@ def test_fock_imports_neither_the_character_oracle_nor_lr():
     assert {"characters", "lr"}.isdisjoint(names)
 
 
+def test_characters_never_read_the_lr_table():
+    """Side A of reciprocity (the torus character) stays independent of side
+    B: the character module names neither the LR table nor the Littlewood
+    table, as a name, an attribute or an imported alias."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(characters.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert callable(lr._lr_table) and callable(branching._littlewood_terms)
+    assert {"_lr_table", "_littlewood_terms"}.isdisjoint(names)
+
+
 def test_test_oracles_import_nothing_from_the_package():
     """The oracles are an independent route only while they share no code."""
     path = Path(__file__).resolve().parent / "oracles.py"
