@@ -82,7 +82,8 @@ def _gt_character(lam: Signature, k: int, width: int, slot) -> LaurentPoly:
 def schur_poly(lam: Signature, k: int) -> LaurentPoly:
     """Schur polynomial of lam in k variables, by Gelfand-Tsetlin branching."""
     lam = canonicalize(lam)
-    GroupFamily("u", k)
+    if GroupFamily("u", k).rank == "stable":
+        raise RankConstraint("a Schur polynomial requires a finite rank")
     return _gt_character(lam, k, k, lambda j: (j - 1, 1)) if len(lam) <= k else LaurentPoly.zero(k)
 
 
@@ -94,7 +95,8 @@ def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     extra coordinate fixed at 1 when k is odd.
     """
     lam = canonicalize(lam)
-    GroupFamily("so", k)
+    if GroupFamily("so", k).rank == "stable":
+        raise RankConstraint("a torus character requires a finite rank")
     if k > DESK_RANK_LIMIT:
         raise RankTooLarge(f"rank {k} beyond desk scale {DESK_RANK_LIMIT}")
     if len(lam) > k:
@@ -181,7 +183,7 @@ def weyl_fold(dominant, k: int) -> Decomposition:
     return Decomposition._new(GroupFamily("so", k), found)
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=1 << 10, typed=True)
 def so_character(mu: Signature, k: int) -> LaurentPoly:
     """Irreducible SO(k) character by the orthogonal Jacobi-Trudi determinant.
 
@@ -192,6 +194,8 @@ def so_character(mu: Signature, k: int) -> LaurentPoly:
     self-associated split of the even orthogonal groups.
     """
     mu = canonicalize(mu)
+    if GroupFamily("so", k).rank == "stable":
+        raise RankConstraint("an SO character requires a finite rank")
     if k > DESK_RANK_LIMIT:
         raise RankTooLarge(f"rank {k} beyond desk scale {DESK_RANK_LIMIT}")
     if 2 * len(mu) >= k:

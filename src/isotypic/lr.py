@@ -33,8 +33,8 @@ class Decomposition:
     """A multiset of signatures with positive multiplicities.
 
     Iteration order is descending lexicographic on the signature tuples,
-    so identical queries always print identically.  Instances are
-    immutable after construction.
+    so identical queries always print identically.  Instances are immutable,
+    so a stable table's probes may share its dict (never an LR memo's).
     """
 
     __slots__ = ("group", "_terms")
@@ -59,6 +59,16 @@ class Decomposition:
         out = object.__new__(cls)
         object.__setattr__(out, "group", group)
         object.__setattr__(out, "_terms", dict(sorted(terms.items(), reverse=True)))
+        return out
+
+    def _cut(self, group: GroupFamily):
+        """Trusted probe at group's finite rank k: the terms of length <= k in
+        this table's order, sharing this table's dict when every term fits."""
+        terms, out = self._terms, object.__new__(Decomposition)
+        if max(map(len, terms), default=0) > group.rank:
+            terms = {s: m for s, m in terms.items() if len(s) <= group.rank}
+        object.__setattr__(out, "group", group)
+        object.__setattr__(out, "_terms", terms)
         return out
 
     def __setattr__(self, name, value):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import NotDecreasing, OddRankForSp, RankConstraint
 
@@ -82,6 +83,12 @@ def parse(text: str) -> Signature:
     return canonicalize(parts)
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
+def _label(cls, family: str, rank: int | str):
+    """The one object of each label that passed `GroupFamily`'s checks."""
+    return tuple.__new__(cls, (family, rank))
+
+
 class GroupFamily(namedtuple("GroupFamily", "family rank")):
     """A classical family label: family in {"u", "so", "sp"} plus rank.
 
@@ -99,7 +106,7 @@ class GroupFamily(namedtuple("GroupFamily", "family rank")):
                 raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
             if family == "sp" and rank % 2 != 0:
                 raise OddRankForSp(f"Sp rank must be even, got {rank}")
-        return tuple.__new__(cls, (family, rank))
+        return _label(cls, family, rank)
 
     # ``_replace`` builds through ``_make``: route it through the checks too.
     _make = classmethod(lambda cls, fields: cls(*fields))

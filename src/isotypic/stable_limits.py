@@ -6,7 +6,9 @@ length <= k.  No term is longer than the sum of the factor lengths, and
 the sorted union of the factors' parts always occurs, so the table at that
 rank is stable and `k0` is that rank.  The Littlewood restriction does not
 depend on k inside its stable range 2*len(lam) < k, so `k0` is the range's
-edge.  The probes are the length-filtered tables at k_start, ..., k0 + step.
+edge.  The probes are the length-filtered tables at k_start, ..., k0 + step:
+the stable table is sorted once, and a probe shares its dict when every
+term fits the probe's rank, or else filters it in order with no second sort.
 Each entry checks its signatures once and reads the raw `lr._product` or
 `branching._littlewood_terms` table: no rank-k0 `Decomposition` is built.
 """
@@ -28,14 +30,10 @@ class StableResult(namedtuple("StableResult", "stable k0 probes")):
 
 
 def _stable_result(family: str, terms: dict, k_start: int, k0: int, step: int = 1):
-    """The stable table of `terms` and its probes; `terms` is only read."""
-    probes = tuple(
-        (k, Decomposition._new(
-            GroupFamily(family, k), {s: m for s, m in terms.items() if len(s) <= k}
-        ))
-        for k in range(k_start, k0 + step + 1, step)
-    )
-    return StableResult(Decomposition._new(GroupFamily(family, "stable"), terms), k0, probes)
+    """The stable table of `terms`, sorted once, and the probes cut from it; `terms` is only read."""
+    stable = Decomposition._new(GroupFamily(family, "stable"), terms)
+    ranks = range(k_start, k0 + step + 1, step)
+    return StableResult(stable, k0, tuple((k, stable._cut(GroupFamily(family, k))) for k in ranks))
 
 
 def stable_tensor(factors) -> StableResult:

@@ -221,6 +221,19 @@ def test_so_character_guards():
         so_character((1,), 9)
 
 
+def test_characters_refuse_the_stable_rank():
+    """The label admits the stable rank; a character needs a finite one."""
+    for call, message in (
+        (lambda: schur_poly((1,), "stable"), "a Schur polynomial requires a finite rank"),
+        (lambda: schur_laurent_on_so_torus((1,), "stable"), "a torus character requires a finite rank"),
+        (lambda: so_character((), "stable"), "an SO character requires a finite rank"),
+        (lambda: dim(GroupFamily("so", "stable"), (1,)), "dimension requires a finite rank"),
+    ):
+        with pytest.raises(RankConstraint) as info:
+            call()
+        assert type(info.value) is RankConstraint and str(info.value) == message
+
+
 def test_so_character_dims_at_ones():
     for k in range(3, 8):
         max_len = (k - 1) // 2

@@ -7,7 +7,13 @@ from isotypic.branching import (
     restrict_gl_to_so,
     restrict_gl_to_sp,
 )
-from isotypic.characters import schur_laurent_on_so_torus, schur_poly, schur_product_decompose
+from isotypic import signatures
+from isotypic.characters import (
+    schur_laurent_on_so_torus,
+    schur_poly,
+    schur_product_decompose,
+    so_character,
+)
 from isotypic.errors import NotDecreasing, OddRankForSp, RankConstraint, RankTooSmall
 from isotypic.fock import (
     FockPoly,
@@ -191,6 +197,43 @@ def test_group_family_replace_checks_the_new_fields():
         GroupFamily("sp", 4)._replace(rank=5)
 
 
+def test_equal_labels_are_one_object():
+    """A label that passes its checks is interned: equal labels, however
+    built, are one object, and the memo behind them is bounded."""
+    label = GroupFamily("so", 7)
+    assert label is GroupFamily("so", 7)
+    assert GroupFamily("so", 5)._replace(rank=7) is label
+    assert GroupFamily._make(["so", 7]) is label
+    assert GroupFamily("sp", "stable") is GroupFamily("sp", "stable")
+    assert stable_tensor([(1,)]).probes[0][1].group is GroupFamily("u", 1)
+    maxsize = signatures._label.cache_info().maxsize
+    assert isinstance(maxsize, int)
+    for rank in range(1, maxsize + 10):
+        assert GroupFamily("u", rank).rank == rank
+    assert signatures._label.cache_info().currsize <= maxsize
+
+
+def test_invalid_labels_keep_their_errors():
+    """Every check runs before the label memo is read: a bad label raises
+    the class and message it always raised, even an unhashable one, and
+    never reaches the memo."""
+    sp4 = GroupFamily("sp", 4)
+    rejections = [
+        (lambda: GroupFamily(["u"], 3), ValueError, "unknown family ['u']"),
+        (lambda: GroupFamily("u", [1]), RankConstraint, "rank must be a positive integer, got [1]"),
+        (lambda: GroupFamily("u", 1.0), RankConstraint, "rank must be a positive integer, got 1.0"),
+        (lambda: GroupFamily("u", True), RankConstraint, "rank must be a positive integer, got True"),
+        (lambda: GroupFamily("sp", 3), OddRankForSp, "Sp rank must be even, got 3"),
+        (lambda: sp4._replace(rank=5), OddRankForSp, "Sp rank must be even, got 5"),
+    ]
+    for call, cls, message in rejections:
+        before = signatures._label.cache_info()
+        with pytest.raises(cls) as info:
+            call()
+        assert type(info.value) is cls and str(info.value) == message
+        assert signatures._label.cache_info() == before
+
+
 def test_bool_rank_is_rejected():
     """A bool is an int in Python, but no rank: the label and every engine
     entry that builds one reject it with the message of any other bad rank,
@@ -201,6 +244,7 @@ def test_bool_rank_is_rejected():
     check, so a rank below 1 fails with its message too."""
     assert schur_poly((1,), 1).terms == {(1,): 1}
     assert schur_laurent_on_so_torus((1,), 1).terms == {(): 1}
+    assert so_character((), 1).terms == {(): 1}
     for rank in (True, False):
         with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
             GroupFamily("u", rank)
@@ -220,11 +264,15 @@ def test_bool_rank_is_rejected():
         lambda: schur_product_decompose((1,), (1,), True),
         lambda: schur_poly((1,), True),
         lambda: schur_laurent_on_so_torus((1,), True),
+        lambda: so_character((), True),
     ):
         with pytest.raises(RankConstraint, match="^rank must be a positive integer, got (True|False)$"):
             call()
     with pytest.raises(RankConstraint, match="^rank must be a positive integer, got -1$"):
         schur_poly((), -1)
+    for rank in (0, -3):
+        with pytest.raises(RankConstraint, match=f"^rank must be a positive integer, got {rank}$"):
+            so_character((), rank)
     assert (verify_sl2(1), verify_sp2n(1, 2), verify_supq(1, 1, 2)) == ((3, True), (6, True), (2, True))
     for call in (
         lambda: verify_sl2(True),

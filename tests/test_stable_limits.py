@@ -3,7 +3,7 @@ import random
 import pytest
 
 from isotypic.branching import restrict_gl_to_so, restrict_gl_to_sp
-from isotypic.lr import contragredient, tensor_mixed, tensor_multi
+from isotypic.lr import Decomposition, contragredient, tensor_mixed, tensor_multi
 from isotypic.signatures import GroupFamily, iter_partitions, pad
 from isotypic.stable_limits import (
     identity_multiplicity,
@@ -52,6 +52,47 @@ def test_probes_are_length_filtered_prefixes():
                 sig: mult for sig, mult in res.stable.terms.items() if len(sig) <= k
             }
             assert probe.terms == expected, (factors, k)
+
+
+def test_probes_that_hold_every_term_share_the_stable_table():
+    """A probe at a rank of at least the longest stable term holds the
+    stable table's own dict; `.terms` still hands out a copy."""
+    cases = [stable_tensor([(2, 1), (1,)]), stable_branch((2, 1), "so"), stable_branch((2, 1), "sp")]
+    shared = 0
+    for res in cases:
+        longest = max(map(len, res.stable.signatures()))
+        for k, probe in res.probes:
+            if k >= longest:
+                shared += 1
+                assert probe._terms is res.stable._terms, (res.stable, k)
+                assert probe.terms is not res.stable._terms
+    assert shared == 6
+    res = cases[0]
+    res.probes[-1][1].terms[(9,)] = 1
+    assert (9,) not in res.stable
+
+
+def test_filtered_probes_keep_the_descending_order():
+    """A probe too short for some stable term is the public constructor's
+    decomposition of the filtered table: descending, with the same repr."""
+    rng = random.Random(37)
+    parts = [p for w in range(1, 5) for p in iter_partitions(w)]
+    filtered = 0
+    for factors in [[(2, 1), (1,)]] + [
+        [rng.choice(parts) for _ in range(rng.randint(2, 3))] for _ in range(12)
+    ]:
+        res = stable_tensor(factors)
+        for k, probe in res.probes:
+            if probe._terms is res.stable._terms:
+                continue
+            filtered += 1
+            sigs = probe.signatures()
+            assert sigs == sorted(sigs, reverse=True), (factors, k)
+            public = Decomposition(
+                GroupFamily("u", k), {s: m for s, m in res.stable.terms.items() if len(s) <= k}
+            )
+            assert probe == public and repr(probe) == repr(public), (factors, k)
+    assert filtered >= 12
 
 
 def test_stabilize_cap_raises():
