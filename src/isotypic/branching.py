@@ -1,16 +1,14 @@
 """Stable-range restriction U(k) -> SO(k)/Sp(k) and two-sided reciprocity.
 
 The Littlewood restriction rule gives the multiplicity of mu in lam as a
-sum of LR coefficients c^lam_{mu,delta} over auxiliary partitions delta
-with all parts even (SO) or all columns even (Sp).  One function,
-`_littlewood_terms`, computes that sum for every mu at once and keeps
-the table in a bounded memo keyed by (lam, delta family), since it does
-not depend on k; the restrictions, the dual-side (lowest-K-type)
-multiplicity and side B of the reciprocity report all read it.  Side A
-recomputes the restriction on every call from the torus character of
-lam, by the Weyl-group alternating sum over its dominant weights
-(`characters.weyl_fold`).  It never reads that memo or any LR table, so
-the two sides stay computationally independent.
+sum of LR coefficients c^lam_{delta,mu} over auxiliary partitions delta
+with all parts even (SO) or all columns even (Sp).  `_littlewood_terms`
+finds it for every mu in one pass down the rows of lam, filling each
+skew shape lam/delta with LR tableaux, and a bounded memo keyed by (lam,
+delta family) keeps the table, which does not depend on k.  The
+restrictions, the dual-side (lowest-K-type) multiplicity and side B of
+reciprocity read it; side A folds the torus character of lam by the Weyl
+group (`characters.weyl_fold`) and never reads that memo or an LR table.
 """
 
 from __future__ import annotations
@@ -20,62 +18,66 @@ from functools import lru_cache
 
 from .characters import _torus_dominant_weights, weyl_fold
 from .errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
-from .lr import Decomposition, _lr_table
-from .signatures import GroupFamily, Signature, canonicalize, iter_partitions, weight
+from .lr import Decomposition
+from .signatures import GroupFamily, Signature, canonicalize
 
 
-def _even_row_partitions(total, max_length):
-    """Partitions of `total` whose parts are all even."""
-    if total % 2:
-        return
-    for half in iter_partitions(total // 2, max_length=max_length):
-        yield tuple(2 * p for p in half)
+def _even_row_partitions(r, prev, top, rows):
+    """Row r of a delta with even parts: an even part <= min(prev, top)."""
+    return range(0, min(prev, top) + 1, 2)
 
 
-def _even_column_partitions(total, max_length):
-    """Partitions of `total` whose conjugates have all parts even."""
-    if total % 2:
-        return
-    for half in iter_partitions(total // 2, max_length=max_length // 2):
-        out = []
-        for p in half:
-            out.extend((p, p))
-        yield tuple(out)
+def _even_column_partitions(r, prev, top, rows):
+    """Row r of a delta with even columns: odd rows repeat prev, an unpaired last row is 0."""
+    if r % 2:
+        return (prev,) if prev <= top else ()
+    return range(min(prev, top) + 1) if r + 1 < rows else (0,)
 
 
 @lru_cache(maxsize=1 << 10)
 def _littlewood_terms(lam: Signature, deltas) -> dict:
-    """``{mu: sum over delta of c^lam_{mu,delta}}`` for canonical lam.
+    """``{mu: sum over delta of c^lam_{delta,mu}}`` for canonical lam.
 
-    `deltas(total, max_length)` lists the auxiliary partitions; only the
-    delta and mu within lam's length and first row are tried.  The sum
-    does not depend on k, so the table is memoised per (lam, deltas) and
-    shared: do not mutate it.
+    Row r takes delta_r from `deltas(r, prev, top, rows)`, then cells of
+    values 1..r+1, weakly increasing.  Columns: its cells of value <= v+1
+    end no further right than the row above's of value <= v.  Lattice: read
+    right to left, v+1 never outnumbers v.  Each filling of lam/delta adds
+    1 at its content mu.  Memoised per (lam, deltas): do not mutate it.
     """
     terms: dict = {}
-    wt = weight(lam)
-    lam1 = lam[0] if lam else 0
-    for dwt in range(0, wt + 1, 2):
-        for delta in deltas(dwt, len(lam)):
-            if delta and delta[0] > lam1:
-                continue
-            for mu in iter_partitions(wt - dwt, max_length=len(lam), max_part=lam1):
-                c = _lr_table(mu, delta).get(lam)
-                if c:
-                    terms[mu] = terms.get(mu, 0) + c
+
+    def fill(r, ends, above, content):
+        # ends: delta_r, then where row r's cells of value <= 1, 2, ... end; above: row
+        # r-1's ends; content: the cells of each value in the rows above r.
+        v = len(ends) - 1
+        if r == len(lam):
+            mu = tuple(t for t in content if t)
+            terms[mu] = terms.get(mu, 0) + 1
+        elif v < 0:
+            for d in deltas(r, above[0], lam[r], len(lam)):
+                fill(r, (d,), above, content)
+        elif v < r:
+            hi = min(above[v], lam[r], ends[-1] + content[v - 1] - content[v] if v else lam[r])
+            for end in range(ends[-1], hi + 1):
+                fill(r, ends + (end,), above, content)
+        elif not r or lam[r] - ends[-1] <= content[r - 1]:
+            row = ends + (lam[r],)
+            fill(r + 1, (), row, tuple(c + b - a for c, a, b in zip(content + (0,), row, row[1:])))
+
+    fill(0, (), lam[:1], ())
     return terms
 
 
-def _reject_bool(*ranks):
-    """A bool is an int, but no rank: refuse it before any other check."""
+def _require_int(*ranks):
+    """Refuse a rank that is not an int (a bool or a float too) before any other check."""
     for rank in ranks:
-        if type(rank) is bool:
-            raise RankConstraint(f"rank must be a positive integer, got {rank}")
+        if type(rank) is not int:
+            raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
 
 
 def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to SO(k) (stable range only)."""
-    _reject_bool(k)
+    _require_int(k)
     lam = canonicalize(lam)
     if 2 * len(lam) >= k:
         raise OutsideStableRange(
@@ -87,7 +89,7 @@ def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
 
 def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to Sp(k), k even (stable range)."""
-    _reject_bool(k)
+    _require_int(k)
     lam = canonicalize(lam)
     if k % 2:
         raise OddRank(f"Sp rank must be even, got {k}")
@@ -105,7 +107,7 @@ def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     Counts lam inside mu tensored with the symmetric algebra on the
     invariant quadratics: sum over even-part delta of c^lam_{mu,delta}.
     """
-    _reject_bool(n)
+    _require_int(n)
     lam = canonicalize(lam)
     mu = canonicalize(mu)
     if len(lam) > n or len(mu) > n:
@@ -127,13 +129,11 @@ class ReciprocityReport(namedtuple("ReciprocityReport", "lam n k rows")):
 def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     """Compare restriction multiplicities against the dual-side formula.
 
-    Side A restricts lam to SO(k) through the character oracle: the
-    torus restriction of lam, decomposed by the Weyl-group alternating
-    sum over its dominant weights.  It never reads the Littlewood sum or
-    an LR table, so the comparison with side B is between independent
-    computations.
+    Side A restricts lam to SO(k) through the character oracle, the torus
+    character folded by the Weyl group, and never reads the Littlewood sum
+    or an LR table; side B is that sum, so the two sides are independent.
     """
-    _reject_bool(n, k)
+    _require_int(n, k)
     lam = canonicalize(lam)
     if len(lam) > n:
         raise RankTooSmall(f"signature {list(lam)} needs n >= {len(lam)}")

@@ -1,6 +1,7 @@
 import pytest
 
 from isotypic.branching import (
+    _even_column_partitions,
     _even_row_partitions,
     _littlewood_terms,
     dual_side_multiplicity,
@@ -9,9 +10,9 @@ from isotypic.branching import (
     restrict_gl_to_sp,
 )
 from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
-from isotypic.errors import OddRank, OutsideStableRange, RankTooSmall
+from isotypic.errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
 from isotypic.signatures import GroupFamily, iter_partitions, weight
-from oracles import branch_rank1_closed_form
+from oracles import branch_rank1_closed_form, brute_lr, conjugate
 
 
 def test_restrict_so_examples():
@@ -97,24 +98,59 @@ def test_reciprocity_guards():
 
 
 def test_branching_dimension_consistency():
-    for k in (5, 6, 7):
-        max_len = (k - 1) // 2
-        for w in range(7):
-            for lam in iter_partitions(w, max_length=max_len):
-                dec = restrict_gl_to_so(lam, k)
-                total = sum(
-                    mult * dim(GroupFamily("so", k), mu) for mu, mult in dec
-                )
-                assert total == dim(GroupFamily("u", k), lam), (lam, k)
-    for k in (4, 6):
-        max_len = (k - 1) // 2
-        for w in range(7):
-            for lam in iter_partitions(w, max_length=max_len):
-                dec = restrict_gl_to_sp(lam, k)
-                total = sum(
-                    mult * dim(GroupFamily("sp", k), mu) for mu, mult in dec
-                )
-                assert total == dim(GroupFamily("u", k), lam), (lam, k)
+    """dim U(k) lam is the dimension sum of its restriction, from the least
+    stable rank (2*len+1 for SO, 2*len+2 for Sp) through k = 7 and 6 at
+    least, for |lam| <= 10, length <= 5 and two larger signatures."""
+    lams = [lam for w in range(11) for lam in iter_partitions(w, max_length=5)]
+    for lam in lams + [(12, 8, 4, 2), (9, 7, 5, 3, 1)]:
+        least = 2 * len(lam) + 1
+        for family, restrict, ranks in (
+            ("so", restrict_gl_to_so, range(least, max(8, least + 2))),
+            ("sp", restrict_gl_to_sp, range(least + 1, max(7, least + 3), 2)),
+        ):
+            for k in ranks:
+                total = sum(mult * dim(GroupFamily(family, k), mu) for mu, mult in restrict(lam, k))
+                assert total == dim(GroupFamily("u", k), lam), (lam, family, k)
+
+
+def test_littlewood_sums_match_the_brute_force_lr_oracle():
+    """Each Littlewood sum is the sum of brute-force LR counts c^lam_{mu,delta}
+    over delta with even rows (SO) or even columns (Sp), for |lam| <= 7 and
+    length <= 4; the oracle filters every filling and shares no code."""
+    families = (
+        (_even_row_partitions, lambda delta: all(p % 2 == 0 for p in delta)),
+        (_even_column_partitions, lambda delta: all(p % 2 == 0 for p in conjugate(delta))),
+    )
+    for w in range(8):
+        for lam in iter_partitions(w, max_length=4):
+            for deltas, allowed in families:
+                expected = {}
+                for dw in range(w + 1):
+                    for delta in filter(allowed, iter_partitions(dw, max_length=len(lam))):
+                        for mu in iter_partitions(w - dw, max_length=len(lam)):
+                            c = brute_lr(mu, delta, lam)
+                            if c:
+                                expected[mu] = expected.get(mu, 0) + c
+                assert _littlewood_terms(lam, deltas) == expected, (lam, deltas.__name__)
+
+
+def test_non_int_ranks_are_refused_before_any_other_check():
+    """A float, a bool or a string is no rank: every branching entry refuses
+    it with the rank message, before the range and parity checks; n = 0
+    stays a valid dual-pair rank."""
+    for call, rank in (
+        (lambda: dual_side_multiplicity((1,), (1,), 1.5), "1.5"),
+        (lambda: reciprocity_check((1,), 1.5, 5), "1.5"),
+        (lambda: reciprocity_check((1,), 1, 5.0), "5.0"),
+        (lambda: restrict_gl_to_so((1,), 0.5), "0.5"),
+        (lambda: restrict_gl_to_sp((1,), 5.0), "5.0"),
+        (lambda: restrict_gl_to_sp((1,), 2.0), "2.0"),
+        (lambda: restrict_gl_to_so((1,), "5"), "'5'"),
+    ):
+        with pytest.raises(RankConstraint) as info:
+            call()
+        assert str(info.value) == f"rank must be a positive integer, got {rank}"
+    assert reciprocity_check((), 0, 7).rows == (((), 1, 1, True),)
 
 
 def test_restriction_multiplicities_are_lr_sums():

@@ -174,20 +174,33 @@ def test_fock_imports_neither_the_character_oracle_nor_lr():
     assert {"characters", "lr"}.isdisjoint(names)
 
 
-def test_characters_never_read_the_lr_table():
-    """Side A of reciprocity (the torus character) stays independent of side
-    B: the character module names neither the LR table nor the Littlewood
-    table, as a name, an attribute or an imported alias."""
+def _names(module):
+    """Every name, attribute and imported alias the module's source mentions."""
     names = set()
-    for node in ast.walk(ast.parse(Path(characters.__file__).read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_characters_never_read_the_lr_table():
+    """Side A of reciprocity (the torus character) stays independent of side
+    B: the character module names neither the LR table nor the Littlewood
+    table, as a name, an attribute or an imported alias."""
     assert callable(lr._lr_table) and callable(branching._littlewood_terms)
-    assert {"_lr_table", "_littlewood_terms"}.isdisjoint(names)
+    assert {"_lr_table", "_littlewood_terms"}.isdisjoint(_names(characters))
+
+
+def test_branching_never_reads_the_lr_products():
+    """The Littlewood sums fill lam/delta themselves: branching names neither
+    the LR product table nor a single LR coefficient, so restrictions never
+    fill the products' memo."""
+    assert callable(lr._lr_table) and callable(lr.lr_coefficient)
+    assert {"_lr_table", "lr_coefficient"}.isdisjoint(_names(branching))
 
 
 def test_test_oracles_import_nothing_from_the_package():
