@@ -44,34 +44,34 @@ def _littlewood_terms(lam: Signature, deltas) -> dict:
     right to left, v+1 never outnumbers v.  Each filling of lam/delta adds
     1 at its content mu.  Memoised per (lam, deltas): do not mutate it.
     """
+    # No recursion: fillings that agree on (ends, content) are counted once; ends holds
+    # delta_r, where row r's cells of value <= 1, 2, ... end, then lam_r.
+    states = {(lam[:1], ()): 1}
+    for r, part in enumerate(lam):
+        after: dict = {}
+        for (above, content), count in states.items():
+            rows = [(d,) for d in deltas(r, above[0], part, len(lam))]
+            for v in range(r):
+                lattice = content[v - 1] - content[v] if v else part
+                rows = [e + (end,) for e in rows
+                        for end in range(e[-1], min(above[v], part, e[-1] + lattice) + 1)]
+            for row in rows:
+                if not r or part - row[-1] <= content[r - 1]:
+                    row += (part,)
+                    key = (row, tuple(c + b - a for c, a, b in zip(content + (0,), row, row[1:])))
+                    after[key] = after.get(key, 0) + count
+        states = after
     terms: dict = {}
-
-    def fill(r, ends, above, content):
-        # ends: delta_r, then where row r's cells of value <= 1, 2, ... end; above: row
-        # r-1's ends; content: the cells of each value in the rows above r.
-        v = len(ends) - 1
-        if r == len(lam):
-            mu = tuple(t for t in content if t)
-            terms[mu] = terms.get(mu, 0) + 1
-        elif v < 0:
-            for d in deltas(r, above[0], lam[r], len(lam)):
-                fill(r, (d,), above, content)
-        elif v < r:
-            hi = min(above[v], lam[r], ends[-1] + content[v - 1] - content[v] if v else lam[r])
-            for end in range(ends[-1], hi + 1):
-                fill(r, ends + (end,), above, content)
-        elif not r or lam[r] - ends[-1] <= content[r - 1]:
-            row = ends + (lam[r],)
-            fill(r + 1, (), row, tuple(c + b - a for c, a, b in zip(content + (0,), row, row[1:])))
-
-    fill(0, (), lam[:1], ())
+    for (_, content), count in states.items():
+        mu = tuple(t for t in content if t)
+        terms[mu] = terms.get(mu, 0) + count
     return terms
 
 
 def _require_int(*ranks):
     """Refuse a rank that is not an int (a bool or a float too) before any other check."""
     for rank in ranks:
-        if type(rank) is not int:
+        if type(rank) is bool or not isinstance(rank, int):
             raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
 
 

@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 
 from isotypic.branching import (
@@ -12,6 +14,7 @@ from isotypic.branching import (
 from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
 from isotypic.errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
 from isotypic.signatures import GroupFamily, iter_partitions, weight
+from isotypic.stable_limits import stable_branch
 from oracles import branch_rank1_closed_form, brute_lr, conjugate
 
 
@@ -151,6 +154,22 @@ def test_non_int_ranks_are_refused_before_any_other_check():
             call()
         assert str(info.value) == f"rank must be a positive integer, got {rank}"
     assert reciprocity_check((), 0, 7).rows == (((), 1, 1, True),)
+    Rank = IntEnum("Rank", {"N": 1, "K": 5})
+    assert restrict_gl_to_so((1,), Rank.K) == restrict_gl_to_so((1,), 5)
+    assert dual_side_multiplicity((1,), (1,), Rank.N) == 1
+    assert reciprocity_check((1,), Rank.N, Rank.K).all_agree
+
+
+def test_long_columns_restrict_without_deep_recursion():
+    """The Littlewood sum walks the rows of lam in a loop, so a 60-row
+    column restricts like a short one: Lambda^60 stays irreducible under
+    SO(121) and splits into the 31 columns (1^(60-2j)) under Sp(122)."""
+    column = (1,) * 60
+    assert restrict_gl_to_so(column, 121).terms == {column: 1}
+    assert restrict_gl_to_sp(column, 122).terms == {(1,) * (60 - 2 * j): 1 for j in range(31)}
+    so, sp = stable_branch(column, "so"), stable_branch(column, "sp")
+    assert (so.k0, so.stable.terms) == (121, {column: 1})
+    assert (sp.k0, len(sp.stable.terms)) == (122, 31)
 
 
 def test_restriction_multiplicities_are_lr_sums():
