@@ -68,16 +68,17 @@ def _littlewood_terms(lam: Signature, deltas) -> dict:
     return terms
 
 
-def _require_int(*ranks):
-    """Refuse a rank that is not an int (a bool or a float too) before any other check."""
+def _require_int(*ranks, least=None):
+    """Refuse a rank that is not an int (a bool or a float too), or is below
+    least when given, before any other check."""
     for rank in ranks:
-        if type(rank) is bool or not isinstance(rank, int):
+        if type(rank) is bool or not isinstance(rank, int) or (least is not None and rank < least):
             raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
 
 
 def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to SO(k) (stable range only)."""
-    _require_int(k)
+    _require_int(k, least=1)
     lam = canonicalize(lam)
     if 2 * len(lam) >= k:
         raise OutsideStableRange(
@@ -89,7 +90,7 @@ def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
 
 def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
     """Branch the U(k) representation lam to Sp(k), k even (stable range)."""
-    _require_int(k)
+    _require_int(k, least=1)
     lam = canonicalize(lam)
     if k % 2:
         raise OddRank(f"Sp rank must be even, got {k}")
@@ -133,7 +134,8 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     character folded by the Weyl group, and never reads the Littlewood sum
     or an LR table; side B is that sum, so the two sides are independent.
     """
-    _require_int(n, k)
+    _require_int(n)
+    _require_int(k, least=1)
     lam = canonicalize(lam)
     if len(lam) > n:
         raise RankTooSmall(f"signature {list(lam)} needs n >= {len(lam)}")

@@ -23,12 +23,15 @@ coefficient as its plain int or Fraction, so the kernel multiplies
 native numbers and ``@`` and ``weyl_commutator`` wrap each output value
 in a GaussRat once.  Commutators keep only contracted terms, since the
 uncontracted ones of ab and ba cancel: each operator's contraction index
-lists, per left derivative exponents, the rows they meet, so a
-commutator visits only the term pairs that contract.  ``verify_sl2``,
+lists, per left derivative exponents, the rows they meet and the indices
+where they meet, so a commutator visits only the term pairs that
+contract; a pair that meets in one index, as nearly every pair of the
+quadratic generators does, runs j over one range.  ``verify_sl2``,
 ``verify_sp2n`` and ``verify_supq`` pass (x, y, pieces) rows to one check,
 ``_relations_hold``, which computes each distinct commutator once per call
-and keeps none; ``verify_sl2`` reads the integer rank-1 generators.  The
-quadratic generators come from one polynomial, the pairing
+and keeps none, and compares it with an expected side summed from the
+pieces' plain coefficients; ``verify_sl2`` reads the integer rank-1
+generators.  The quadratic generators come from one polynomial, the pairing
 q_rs = sum_i x_ri x_si of two block rows, as multiplication by it and as
 q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
 u(p,q) pairs across a Z row and a W row, and the ladder triple
@@ -174,6 +177,8 @@ class GaussRat:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
+        if type(other) is int:
+            return not self.im and self.re == other
         if type(other) is not GaussRat:
             other = _operand(other)
             if other is None:
@@ -429,9 +434,11 @@ class WeylOp(TermMap):
 def _weyl_view(op: WeylOp):
     """op's terms as (z, d, z_items, d_items, coeff) rows, a real coeff
     kept plain (its int or Fraction part), plus the contraction index: a
-    left term's derivative exponents -> op's rows whose multiplications
-    they meet, each entry filled on first use.  Both are kept, which is
-    sound because a WeylOp is never mutated; the index holds rows only."""
+    left term's derivative exponents -> (row, overlap) for each row of op
+    whose multiplications they meet, overlap listing (index, left
+    derivative, row multiplication) where both are nonzero; each entry is
+    filled on first use.  Both are kept, which is sound because a WeylOp
+    is never mutated; they describe op alone."""
     try:
         return op._view
     except AttributeError:
@@ -439,6 +446,11 @@ def _weyl_view(op: WeylOp):
     rows = [(z, d, _items(z), _items(d), c.re if not c.im else c) for (z, d), c in op.terms.items()]
     op._view = rows, {}
     return op._view
+
+
+def _overlap(lower, z):
+    """(i, x, z[i]) for each left derivative (i, x) that meets a multiplication of z."""
+    return [(i, x, z[i]) for i, x in lower if z[i]]
 
 
 def _gauss_values(out: dict) -> dict:
@@ -456,15 +468,21 @@ def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool,
     contracted_only drops the j = 0 term of every term pair: a pair whose
     left derivatives meet no right multiplication has no other term, so
     a left term visits only the rows right's contraction index lists for it.
+    A pair that overlaps in one index i runs j over one range, with weight
+    C(x, j) C(y, j) j! = perm(x, j) C(y, j); more indices take the product
+    of their ranges.
     """
     rows_b, contractions = _weyl_view(right)
-    partners = rows_b
     for za, da, _, lower, ca in _weyl_view(left)[0]:
         if contracted_only:
             partners = contractions.get(da)
             if partners is None:
-                partners = contractions[da] = [r for r in rows_b if any(r[0][i] for i, _ in lower)]
-        for zb, db, raise_b, _, cb in partners:
+                partners = contractions[da] = [
+                    (r, _overlap(lower, r[0])) for r in rows_b if any(r[0][i] for i, _ in lower)
+                ]
+        else:
+            partners = [(r, _overlap(lower, r[0])) for r in rows_b]
+        for (zb, db, raise_b, _, cb), overlap in partners:
             znew = list(za)
             for i, x in raise_b:
                 znew[i] += x
@@ -472,7 +490,14 @@ def _compose_into(out: dict, left: WeylOp, right: WeylOp, contracted_only: bool,
             for i, x in lower:
                 dnew[i] += x
             base = ca * cb
-            overlap = [(i, x, zb[i]) for i, x in lower if zb[i]]
+            if len(overlap) == 1:
+                (i, x, y), = overlap
+                zi, di = znew[i], dnew[i]
+                for j in range(contracted_only, min(x, y) + 1):
+                    scale = sign * perm(x, j) * comb(y, j)
+                    znew[i], dnew[i] = zi - j, di - j
+                    add_into(out, (tuple(znew), tuple(dnew)), base if scale == 1 else base * scale)
+                continue
             ranges = [range(min(x, y) + 1) for _, x, y in overlap]
             # product() yields the all-zero js first (the only js when
             # nothing overlaps); islice drops it when asked.
@@ -591,7 +616,9 @@ def _require_positive(algebra: str, least=1, **ranks):
 def _relations_hold(relations) -> tuple[int, bool]:
     """(row count, all hold) for rows (x, y, pieces): [x, y] = sum of coeff * op
     over the pieces, 0 if none.  Each distinct (x, y) commutator is computed
-    once per call, by operator identity; every row runs, even after a failure."""
+    once per call, by operator identity; every row runs, even after a failure.
+    The expected side sums the plain coefficients of the pieces' rows, and
+    GaussRat equality compares the bracket's values with them."""
     brackets: dict = {}
     ok = True
     for x, y, pieces in relations:
@@ -605,8 +632,8 @@ def _relations_hold(relations) -> tuple[int, bool]:
         want: dict = {}
         for coeff, op in pieces:
             if coeff:
-                for term, c in op.terms.items():
-                    add_into(want, term, c if coeff == 1 else c * coeff)
+                for z, d, _, _, c in _weyl_view(op)[0]:
+                    add_into(want, (z, d), c if coeff == 1 else c * coeff)
         ok &= got == want
     return len(relations), ok
 

@@ -5,8 +5,9 @@ enumerating every raw filling of the skew diagram, U(k) characters and
 dimensions from a standalone tableau enumerator, dimensions also from
 Weyl's product over the positive roots, conjugate diagrams from counting parts, the
 rank-1 stable branching from its closed form, quadratic operator identities from
-ad-matrices read off the term maps, the oscillator generators from term
-maps written monomial by monomial, operator conjugation from expanding
+ad-matrices read off the term maps, Weyl compositions from every term
+pair index by index, the oscillator generators from term maps written
+monomial by monomial, operator conjugation from expanding
 linear forms, Borel covariance from rational and from doubled integer
 substitution on plain dicts, the harmonic projection from lowering
 with X- on Fractions, the SO highest weight vectors from an explicit
@@ -17,6 +18,7 @@ alternant ratios by exact Laurent division, so agreement is meaningful.
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, factorial
 from operator import add
 
 
@@ -322,6 +324,40 @@ def quadratic_relation_holds(x, y, rhs):
     ])
     vac_rhs = _combination([(c, _vacuum_apply(g, one)) for c, g in rhs])
     return ad_lhs == ad_rhs and vac_lhs == vac_rhs
+
+
+# Weyl compositions over every term pair, in plain dicts: per index,
+# d^p z^q = sum_j C(p, j) C(q, j) j! z^(q - j) d^(p - j), with j running over
+# every index whether or not it overlaps.  Only the term maps are read, the
+# coefficients as (Fraction, Fraction) pairs.
+
+
+def weyl_terms(op):
+    """{(z, d): (re, im)} for every term of a WeylOp."""
+    return {key: gauss_ref(c.re, c.im) for key, c in op.terms.items()}
+
+
+def weyl_compose(a, b):
+    """a @ b of two WeylOps as {(z, d): (re, im)}."""
+    out = {}
+    for (za, da), ca in weyl_terms(a).items():
+        for (zb, db), cb in weyl_terms(b).items():
+            base = gauss_mul(ca, cb)
+            for js in product(*(range(min(p, q) + 1) for p, q in zip(da, zb))):
+                weight = 1
+                for p, q, j in zip(da, zb, js):
+                    weight *= comb(p, j) * comb(q, j) * factorial(j)
+                key = (
+                    tuple(x + y - j for x, y, j in zip(za, zb, js)),
+                    tuple(x + y - j for x, y, j in zip(da, db, js)),
+                )
+                _accumulate(out, key, gauss_mul(gauss_ref(weight), base))
+    return out
+
+
+def weyl_bracket(a, b):
+    """[a, b] = a @ b - b @ a of two WeylOps as {(z, d): (re, im)}."""
+    return _combination([(1, weyl_compose(a, b)), (-1, weyl_compose(b, a))])
 
 
 # The oscillator generators as explicit term maps {(z, d): (re, im)},

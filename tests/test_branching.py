@@ -160,6 +160,28 @@ def test_non_int_ranks_are_refused_before_any_other_check():
     assert reciprocity_check((1,), Rank.N, Rank.K).all_agree
 
 
+def test_non_positive_group_ranks_are_refused_before_the_range_checks():
+    """k < 1 is no group rank: both restrictions and reciprocity's k refuse
+    it with the rank message, where the stable-range or parity check would
+    have answered first; reciprocity's n = 0 still answers."""
+    for call, rank in (
+        (lambda: restrict_gl_to_so((), -3), -3),
+        (lambda: restrict_gl_to_so((2, 1), 0), 0),
+        (lambda: restrict_gl_to_sp((), -3), -3),
+        (lambda: restrict_gl_to_sp((1,), -1), -1),
+        (lambda: restrict_gl_to_sp((), 0), 0),
+        (lambda: reciprocity_check((), 0, -3), -3),
+        (lambda: reciprocity_check((1,), 1, 0), 0),
+    ):
+        with pytest.raises(RankConstraint) as info:
+            call()
+        assert type(info.value) is RankConstraint
+        assert str(info.value) == f"rank must be a positive integer, got {rank}"
+    assert restrict_gl_to_so((), 1).terms == {(): 1}
+    assert reciprocity_check((), 0, 1).rows == (((), 1, 1, True),)
+    assert reciprocity_check((), 0, 7).rows == (((), 1, 1, True),)
+
+
 def test_long_columns_restrict_without_deep_recursion():
     """The Littlewood sum walks the rows of lam in a loop, so a 60-row
     column restricts like a short one: Lambda^60 stays irreducible under

@@ -203,6 +203,19 @@ def test_domain_error_exit_code(capsys):
     assert err == "RankConstraint: rank must be a positive integer, got -2\n"
 
 
+def test_non_positive_branch_and_reciprocity_ranks_exit_with_the_rank_message(capsys):
+    """--rank and --k are plain ints, so a negative or zero rank reaches the
+    library, which refuses it before its stable-range check."""
+    for argv, rank in (
+        (("branch", "--to", "so", "--rank", "-3", "0"), -3),
+        (("branch", "--to", "sp", "--rank", "0", "1"), 0),
+        (("reciprocity", "--n", "0", "--k", "-1", "0"), -1),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"RankConstraint: rank must be a positive integer, got {rank}\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "tensor", "1")[0] == 2  # neither --stable nor --rank

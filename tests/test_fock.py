@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,7 +40,6 @@ from isotypic.fock import (
 from isotypic.signatures import iter_partitions
 from isotypic.terms import leibniz_det
 from oracles import (
-    ZERO,
     ad_matrix,
     conjugate_by_right_translation,
     covariance_by_fraction_trials,
@@ -62,6 +60,9 @@ from oracles import (
     so_hwv_by_frame,
     sp2n_terms,
     supq_terms,
+    weyl_bracket,
+    weyl_compose,
+    weyl_terms,
 )
 
 
@@ -133,6 +134,27 @@ def test_gaussrat_matches_fraction_reference(a, b, c, d):
         assert_matches_reference(value, ref)
     assert (x == y) == (rx == ry)
     assert (x == c) == (rx == gauss_ref(c))
+
+
+def test_gaussrat_equals_an_int_as_the_general_route_does():
+    """GaussRat.__eq__ reads an int operand directly; it must answer as the
+    route through a second GaussRat does, both ways round, for 0, +-1, 2**70,
+    bools and integral Fractions, against real and non-real values, and
+    equal GaussRats must hash equal."""
+    scalars = [0, 1, -1, 2**70, -(2**70), True, False, Fraction(4, 2), Fraction(-(2**70)), Fraction(1, 2)]
+    parts = (0, 1, -1, 2**70, Fraction(1, 2))
+    values = [GaussRat(re, im) for re in parts for im in (0, 1, -1, 2**70)]
+    for x in values:
+        for s in scalars:
+            general = x == GaussRat(s)
+            assert general is ((Fraction(x.re), Fraction(x.im)) == gauss_ref(s)), (x, s)
+            assert (x == s) is general and (s == x) is general, (x, s)
+            assert (x != s) is (not general), (x, s)
+    pool = values + [GaussRat(s) for s in scalars] + [GaussRat(Fraction(2**71, 2)), GaussRat(0, Fraction(-2, 2))]
+    for x, y in product(pool, repeat=2):
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+    assert GaussRat(1, 1) != 1 and GaussRat(0, 1) != 0 and GaussRat(2**70, 1) != 2**70
 
 
 def test_gaussrat_text_round_trip():
@@ -904,29 +926,6 @@ def test_ad_matrix_oracle_rejects_mutant_relations():
         quadratic_relation_holds(p @ p, d, [])
 
 
-def _ref_compose(a, b):
-    """a @ b over every term pair, in plain dicts: per index,
-    d^p z^q = sum_j C(p, j) C(q, j) j! z^(q - j) d^(p - j)."""
-    out = {}
-    for (za, da), ca in a.terms.items():
-        for (zb, db), cb in b.terms.items():
-            base = gauss_mul(gauss_ref(ca.re, ca.im), gauss_ref(cb.re, cb.im))
-            for js in product(*(range(min(p, q) + 1) for p, q in zip(da, zb))):
-                weight = 1
-                for p, q, j in zip(da, zb, js):
-                    weight *= comb(p, j) * comb(q, j) * factorial(j)
-                key = (
-                    tuple(x + y - j for x, y, j in zip(za, zb, js)),
-                    tuple(x + y - j for x, y, j in zip(da, db, js)),
-                )
-                out[key] = gauss_add(out.get(key, ZERO), gauss_mul(gauss_ref(weight), base))
-    return {key: c for key, c in out.items() if c != ZERO}
-
-
-def _ref_terms(op):
-    return {key: gauss_ref(c.re, c.im) for key, c in op.terms.items()}
-
-
 def test_commutator_kernel_on_reused_operators_matches_every_term_pair():
     """Operators keep their term index across calls: reuse the same objects
     on both sides, interleaving @ with the commutator."""
@@ -948,11 +947,38 @@ def test_commutator_kernel_on_reused_operators_matches_every_term_pair():
     pool = [x, y] + [rand_op() for _ in range(6)]
     for _ in range(3):
         for a, b in product(pool, repeat=2):
-            ab, ba = _ref_compose(a, b), _ref_compose(b, a)
-            bracket = {key: gauss_sub(ab.get(key, ZERO), ba.get(key, ZERO)) for key in ab.keys() | ba.keys()}
-            assert _ref_terms(weyl_commutator(a, b)) == {k: c for k, c in bracket.items() if c != ZERO}
-            assert _ref_terms(a @ b) == ab
+            assert weyl_terms(weyl_commutator(a, b)) == weyl_bracket(a, b)
+            assert weyl_terms(a @ b) == weyl_compose(a, b)
     assert not weyl_commutator(x, y).is_zero()
+
+
+def test_each_kernel_path_matches_the_term_pair_reference():
+    """One deterministic pair per path of the Weyl kernel, under @ and the
+    commutator both ways round, twice so that the second pass reads the
+    built contraction index: no overlap, one overlapping index with j up to
+    min(x, y) = 2, and two overlapping indices."""
+    shape = FockShape(1, 3)
+
+    def term(z, d, c):
+        return WeylOp(shape, {(z, d): c})
+
+    cases = [
+        # a's derivative meets no multiplication of b, nor b's one of a.
+        (term((1, 0, 0), (0, 1, 0), GaussRat(2)), term((0, 0, 2), (0, 0, 1), GaussRat(-3, 1)), 1),
+        # Index 0: a differentiates twice where b multiplies three times, so
+        # a @ b has j = 0, 1, 2; b @ a overlaps in index 1 with j <= 1.
+        (term((0, 1, 0), (2, 0, 1), GaussRat(Fraction(1, 2))), term((3, 0, 0), (0, 1, 0), GaussRat(1, -1)), 3),
+        # Indices 0 and 2 overlap: j runs over a 2 x 3 grid.
+        (term((0, 0, 0), (1, 0, 2), GaussRat(3)), term((2, 1, 2), (0, 0, 0), GaussRat(-1)), 6),
+    ]
+    for _ in range(2):
+        for a, b, terms_ab in cases:
+            assert len(weyl_compose(a, b)) == terms_ab
+            for x, y in ((a, b), (b, a)):
+                assert weyl_terms(x @ y) == weyl_compose(x, y)
+                assert weyl_terms(weyl_commutator(x, y)) == weyl_bracket(x, y)
+    assert weyl_commutator(*cases[0][:2]).is_zero()
+    assert all(not weyl_commutator(a, b).is_zero() for a, b, _ in cases[1:])
 
 
 def _distinct_ops(fam):
@@ -990,6 +1016,32 @@ def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
         for rounds in (1, 2):
             assert verify(*args) == result
             assert len(calls) == per_call * rounds, verify.__name__
+
+
+def test_each_verifier_call_brackets_each_distinct_pair_once(monkeypatch):
+    """The traced fock.weyl_commutator.calls counts the module-level
+    weyl_commutator, which the verifiers call once per distinct (x, y) pair
+    on every call: 67 at verify_sp2n(2, 3), 3 at verify_sl2(4) and 32 at
+    verify_supq(2, 2, 3), the same again on a second call."""
+    import isotypic.fock as fock
+
+    calls = []
+    real = fock.weyl_commutator
+
+    def counted(x, y):
+        calls.append((id(x), id(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(fock, "weyl_commutator", counted)
+    for verify, args, result, pairs in (
+        (verify_sp2n, (2, 3), (96, True), 67),
+        (verify_sl2, (4,), (3, True), 3),
+        (verify_supq, (2, 2, 3), (32, True), 32),
+    ):
+        for _ in range(2):
+            calls.clear()
+            assert verify(*args) == result
+            assert len(calls) == len(set(calls)) == pairs, verify.__name__
 
 
 def test_verify_sl2_multiplies_no_fraction(monkeypatch):
@@ -1048,7 +1100,9 @@ def test_relations_hold_rejects_mutant_rows_and_runs_every_row(monkeypatch):
 def test_contraction_index_lists_rows_and_is_built_once():
     """Each operator's contraction index maps a left term's derivative
     exponents to the very rows of the operator whose multiplications they
-    meet; a second verifier call finds every entry it needs built."""
+    meet, each next to its overlap, the (index, derivative, multiplication)
+    triples where both are nonzero; a second verifier call finds every
+    entry it needs built."""
     import isotypic.fock as fock
 
     ops = _distinct_ops(sp2n_generators(2, 3))
@@ -1058,9 +1112,11 @@ def test_contraction_index_lists_rows_and_is_built_once():
         rows, index = fock._weyl_view(op)
         for d, listed in index.items():
             assert type(d) is tuple and len(d) == op.shape.nvars
-            assert [id(r) for r in listed] == [
+            assert [id(r) for r, _ in listed] == [
                 id(r) for r in rows if any(x and r[0][i] for i, x in enumerate(d))
             ]
+            for r, overlap in listed:
+                assert overlap == [(i, x, r[0][i]) for i, x in enumerate(d) if x and r[0][i]]
         entries[id(op)] = list(index)
     assert any(entries.values())
     verify_sp2n(2, 3)

@@ -22,7 +22,7 @@ from isotypic.signatures import GroupFamily, iter_partitions
 from isotypic.stable_limits import identity_multiplicity, stable_branch
 
 OUTPUT_LINES = 980
-OUTPUT_DIGEST = "173b1a862d7162a57ff11370f054448fd386922cde0abd38bdfa96b0a0471d85"
+OUTPUT_DIGEST = "1e2f72e2a09b1c1ac0e6cf0df28475d8a8dcd67db1240afba27777cfaa5e3158"
 
 
 def _partitions(max_weight, max_length=None):
