@@ -25,13 +25,14 @@ in a GaussRat once.  Commutators keep only contracted terms, since the
 uncontracted ones of ab and ba cancel: each operator's contraction index
 lists, per left derivative exponents, the rows they meet and the indices
 where they meet, so a commutator visits only the term pairs that
-contract; a pair that meets in one index, as nearly every pair of the
-quadratic generators does, runs j over one range.  ``verify_sl2``,
-``verify_sp2n`` and ``verify_supq`` pass (x, y, pieces) rows to one check,
-``_relations_hold``, which computes each distinct commutator once per call
-and keeps none, and compares it with an expected side summed from the
-pieces' plain coefficients; ``verify_sl2`` reads the integer rank-1
-generators.  The quadratic generators come from one polynomial, the pairing
+contract; a pair that meets in one index runs j over one range.  That is
+114 of the 117 contracted pairs of verify_sp2n(2, 3) and every pair at
+n = 1; a D_ab term meets a P_ab term in two indices when a != b.
+``verify_sl2``, ``verify_sp2n`` and ``verify_supq`` pass (x, y, pieces)
+rows to one check, ``_relations_hold``, which computes each distinct
+commutator once per call and keeps none, and compares it with an expected
+side summed from the pieces' plain coefficients; ``verify_sl2`` reads the
+integer rank-1 generators.  The quadratic generators come from one polynomial, the pairing
 q_rs = sum_i x_ri x_si of two block rows, as multiplication by it and as
 q_rs(D): P_ab = -q_ab and D_ab = q_ab(D) of the oscillator algebra, the
 u(p,q) pairs across a Z row and a W row, and the ladder triple

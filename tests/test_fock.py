@@ -1005,43 +1005,31 @@ def test_verify_sp2n_computes_each_distinct_commutator_once(monkeypatch):
     """At n = 2 the 96 relations meet 67 distinct (x, y) pairs, since P_ab
     and P_ba (and D_ab and D_ba) are one object; a commutator is two
     compositions, and a second call recomputes them all.  verify_sl2 has 3
-    distinct pairs and verify_supq(2, 2, 3) 32, one per relation."""
-    calls = _count_compositions(monkeypatch)
-    for verify, args, result, per_call in (
-        (verify_sp2n, (2, 3), (96, True), 134),
-        (verify_sl2, (4,), (3, True), 6),
-        (verify_supq, (2, 2, 3), (32, True), 64),
-    ):
-        calls.clear()
-        for rounds in (1, 2):
-            assert verify(*args) == result
-            assert len(calls) == per_call * rounds, verify.__name__
-
-
-def test_each_verifier_call_brackets_each_distinct_pair_once(monkeypatch):
-    """The traced fock.weyl_commutator.calls counts the module-level
-    weyl_commutator, which the verifiers call once per distinct (x, y) pair
-    on every call: 67 at verify_sp2n(2, 3), 3 at verify_sl2(4) and 32 at
-    verify_supq(2, 2, 3), the same again on a second call."""
+    distinct pairs and verify_supq(2, 2, 3) 32, one per relation.  Each
+    bracket comes from the module-level fock.weyl_commutator, the count that
+    a trace reports, once per distinct pair on every call."""
     import isotypic.fock as fock
 
-    calls = []
+    calls = _count_compositions(monkeypatch)
+    brackets = []
     real = fock.weyl_commutator
 
     def counted(x, y):
-        calls.append((id(x), id(y)))
+        brackets.append((id(x), id(y)))
         return real(x, y)
 
     monkeypatch.setattr(fock, "weyl_commutator", counted)
-    for verify, args, result, pairs in (
-        (verify_sp2n, (2, 3), (96, True), 67),
-        (verify_sl2, (4,), (3, True), 3),
-        (verify_supq, (2, 2, 3), (32, True), 32),
+    for verify, args, result, per_call, pairs in (
+        (verify_sp2n, (2, 3), (96, True), 134, 67),
+        (verify_sl2, (4,), (3, True), 6, 3),
+        (verify_supq, (2, 2, 3), (32, True), 64, 32),
     ):
-        for _ in range(2):
-            calls.clear()
+        calls.clear()
+        for rounds in (1, 2):
+            brackets.clear()
             assert verify(*args) == result
-            assert len(calls) == len(set(calls)) == pairs, verify.__name__
+            assert len(calls) == per_call * rounds, verify.__name__
+            assert len(brackets) == len(set(brackets)) == pairs, verify.__name__
 
 
 def test_verify_sl2_multiplies_no_fraction(monkeypatch):
