@@ -110,7 +110,7 @@ class GaussRat:
     projection's division of parts, never from GaussRat arithmetic on int
     parts.  Equality, hashing and the text form do not depend on which
     type holds a part: 3 == Fraction(3), their hashes are equal and both
-    print as "3".
+    print as "3".  A real value also hashes like the number it equals.
     """
 
     __slots__ = ("re", "im")
@@ -187,7 +187,7 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self):
         if not self.im:

@@ -1,11 +1,12 @@
 """Littlewood-Richardson coefficients and GL/U tensor product decompositions.
 
 One search per product: `_lr_table(lam, mu)` adds the rows of the lighter
-factor to the heavier one as horizontal strips under the lattice rule and
-returns every c^nu_{lam,mu} at once, in a bounded memo keyed by the
-canonical factors.  Single coefficients, products at a rank, and iterated
-and mixed (contragredient) products all read these tables; the mixed
-products pass their rank, so the search never opens a row past it.
+factor to the heavier one as horizontal strips under the lattice rule, in
+a loop with no recursion that merges equal partial tableaux, and returns
+every c^nu_{lam,mu} at once, in a bounded memo keyed by the canonical
+factors.  Single coefficients, products at a rank, and iterated and
+mixed (contragredient) products all read these tables; the mixed products
+pass their rank, so the search never opens a row past it.
 Public entries check each signature once and build results with the trusted
 `Decomposition._new`; internal callers use `_product` and `_mixed_table`.
 """
@@ -117,54 +118,46 @@ def _lr_table(lam: Signature, mu: Signature, maxlen=None) -> dict:
     """The product of canonical lam and mu as ``{nu: c^nu_{lam,mu}}``.
 
     The rows of the lighter factor are added to the heavier one as
-    horizontal strips, the i-th strip holding the value i.  The lattice
-    rule is checked row by row (the i's in rows <= r never outnumber the
-    (i-1)'s in rows < r), so every completed filling is one LR tableau
-    and adds 1 to its shape.  With `maxlen` set, only the nu of length
-    <= maxlen are searched for.  The table is shared: do not mutate it.
+    horizontal strips, the i-th strip holding the value i, each walked
+    down the rows in a loop.  The lattice rule is checked row by row (the
+    i's in rows <= r never outnumber the (i-1)'s in rows < r), so every
+    completed filling is one LR tableau and adds 1 to its shape.  Fillings
+    with the same shape and the same i's per row end alike, so they are
+    merged into one counted state.  With `maxlen` set, only the nu of
+    length <= maxlen are searched for.  The table is shared: do not mutate it.
     """
     if (weight(lam), lam) < (weight(mu), mu):
         return _lr_table(mu, lam, maxlen)
-    table: dict = {}
     if maxlen is not None and len(lam) > maxlen:
-        return table
-    last = len(mu) - 1
-
-    def strip(i, shape, prev):
-        # Place mu[i] cells holding i+1 on shape; prev[r] counts the i's in row r.
-        rows = len(shape)
-        new = list(shape) + [0]
-        placed = [0] * (rows + 1)
-        # No row past maxlen-1 is opened, so the rows below r can take at
-        # most `old - floor` more cells: floor is row maxlen-1's length.
-        floor = shape[maxlen - 1] if maxlen is not None and maxlen <= rows else 0
-
-        def row(r, left, slack):
-            # slack: i's in rows < r minus (i+1)'s in rows < r.
-            old = new[r]
-            hi = left if r == 0 else min(left, shape[r - 1] - old)
-            if i:
-                hi = min(hi, slack)
-            for x in range(max(0, left - old + floor), hi + 1):
-                new[r] = old + x
-                placed[r] = x
-                if x < left:
-                    row(r + 1, left - x, slack - x + prev[r])
-                    continue
-                nu = tuple(new) if new[-1] else tuple(new[:-1])
-                if i == last:
-                    table[nu] = table.get(nu, 0) + 1
-                else:
-                    strip(i + 1, nu, placed[:])
-            new[r] = old
-            placed[r] = 0
-
-        row(0, mu[i], 0)
-
-    if mu:
-        strip(0, lam, [0] * len(lam))
-    else:
-        table[lam] = 1
+        return {}
+    states = {(lam, (0,) * len(lam)): 1}
+    for i, part in enumerate(mu):
+        after: dict = {}
+        for (shape, prev), count in states.items():
+            # No row past maxlen-1 is opened, so the rows below r can take at
+            # most `old - floor` more cells: floor is row maxlen-1's length.
+            floor = shape[maxlen - 1] if maxlen is not None and maxlen <= len(shape) else 0
+            # Strip prefixes: (nu rows so far, (i+1)'s per row, cells left,
+            # i's in the rows so far minus (i+1)'s there).
+            strips = [((), (), part, 0)]
+            for r, old in enumerate(shape + (0,)):
+                hi = shape[r - 1] - old if r else part
+                longer = []
+                for nu, placed, left, slack in strips:
+                    top = min(left, hi, slack) if i else min(left, hi)
+                    for x in range(max(0, left - old + floor), top + 1):
+                        if x < left:
+                            slack_x = slack - x + prev[r]
+                            longer.append((nu + (old + x,), placed + (x,), left - x, slack_x))
+                            continue
+                        nu_x = nu + (old + x,) + shape[r + 1:]
+                        key = (nu_x, placed + (x,) + (0,) * (len(nu_x) - r - 1))
+                        after[key] = after.get(key, 0) + count
+                strips = longer
+        states = after
+    table: dict = {}
+    for (nu, _), count in states.items():
+        table[nu] = table.get(nu, 0) + count
     return table
 
 

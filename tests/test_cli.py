@@ -70,6 +70,16 @@ def test_tensor_human_table(capsys):
     assert [line.split() for line in lines[1:]] == [["1", "2"], ["1", "1,1"]]
 
 
+def test_tensor_stable_multiplies_long_columns():
+    """Two 26-row columns need no deep recursion: the table prints, exit 0."""
+    column = ",".join(["1"] * 26)
+    code, out, err = invoke_process("tensor", "--stable", column, column)
+    assert code == 0 and "Traceback" not in err
+    lines = out.splitlines()
+    assert lines[0] == "group: u(stable)  k0=52"
+    assert len(lines) == 1 + 27
+
+
 def test_branch_subcommand(capsys):
     code, out, _ = invoke(capsys, "branch", "--to", "so", "--rank", "5", "--json", "3")
     assert code == 0

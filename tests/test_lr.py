@@ -98,6 +98,23 @@ def test_lr_conjugation_symmetry_up_to_weight_4():
             )
 
 
+def test_long_columns_multiply_without_deep_recursion():
+    """The LR search walks strips and rows in a loop, so long columns
+    multiply like short ones: Lambda^60 x Lambda^60 is the dual Pieri sum of
+    the shapes (2^j 1^(120-2j)), and a 1,000-row column times (1) has two
+    terms."""
+    column = (1,) * 60
+    assert tensor_pair(column, column, 120).terms == {
+        (2,) * j + (1,) * (120 - 2 * j): 1 for j in range(61)
+    }
+    assert stable_limits.stable_tensor([column, column]).k0 == 120
+    short = (1,) * 26
+    assert lr_coefficient(short, short, (2,) * 26) == 1
+    assert stable_limits.identity_multiplicity([short, short], (2,) * 26) == 1
+    assert tensor_mixed(short, short, 26).terms == {(2,) * 26: 1}
+    assert len(_lr_table((1,) * 1000, (1,))) == 2
+
+
 def test_tensor_pair_examples():
     assert tensor_pair((1,), (1,), 2).terms == {(2,): 1, (1, 1): 1}
     assert tensor_pair((3, 1), (), 5).terms == {(3, 1): 1}

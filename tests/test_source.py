@@ -203,6 +203,24 @@ def test_branching_never_reads_the_lr_products():
     assert {"_lr_table", "lr_coefficient"}.isdisjoint(_names(branching))
 
 
+def test_lr_table_is_a_loop():
+    """The LR search keeps no call stack: `_lr_table` defines no nested
+    function, and the only function of `lr` that calls itself is
+    `_lr_table`, once, for its lighter-first swap."""
+    tree = ast.parse(Path(lr.__file__).read_text(encoding="utf-8"))
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    self_calls = {
+        fn.name: sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name
+            for n in ast.walk(fn)
+        )
+        for fn in defs
+    }
+    assert {name: count for name, count in self_calls.items() if count} == {"_lr_table": 1}
+    (table,) = [fn for fn in defs if fn.name == "_lr_table"]
+    assert not [n for n in ast.walk(table) if n is not table and isinstance(n, (ast.FunctionDef, ast.Lambda))]
+
+
 def test_test_oracles_import_nothing_from_the_package():
     """The oracles are an independent route only while they share no code."""
     path = Path(__file__).resolve().parent / "oracles.py"
