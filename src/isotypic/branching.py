@@ -7,8 +7,8 @@ finds it for every mu in one pass down the rows of lam, filling each
 skew shape lam/delta with LR tableaux, and a bounded memo keyed by (lam,
 delta family) keeps the table, which does not depend on k.  The
 restrictions, the dual-side (lowest-K-type) multiplicity and side B of
-reciprocity read it; side A folds the torus character of lam by the Weyl
-group (`characters.weyl_fold`) and never reads that memo or an LR table.
+reciprocity read it; side A, which folds each torus weight of lam once by
+the Weyl group (`characters.weyl_fold`), reads neither it nor an LR table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .characters import _torus_dominant_weights, weyl_fold
+from .characters import _torus_folds, weyl_fold
 from .errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
 from .lr import Decomposition
 from .signatures import GroupFamily, Signature, canonicalize
@@ -141,7 +141,7 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
         raise RankTooSmall(f"signature {list(lam)} needs n >= {len(lam)}")
     if k <= 2 * n:
         raise OutsideStableRange(f"need k > 2n; got n={n}, k={k}")
-    side_a = weyl_fold(_torus_dominant_weights(lam, k), k)
+    side_a = weyl_fold(_torus_folds(lam, k), k)
     side_b = _littlewood_terms(lam, _even_row_partitions)
     rows = []
     for mu in sorted(set(side_a.signatures()) | set(side_b), reverse=True):

@@ -4,8 +4,8 @@ Everything here verifies the LR/branching combinatorics by a disjoint
 route: GL characters come from Gelfand-Tsetlin branching, SO
 characters from the orthogonal Jacobi-Trudi determinant of restricted
 one-row characters, and decompositions are recovered by greedily peeling
-highest weights or, for SO, by the Weyl-group alternating sum over the
-dominant weights (`weyl_fold`).
+highest weights or, for SO, by the Weyl-group alternating sum with each
+weight of the character folded once (`weyl_fold`).
 Characters are ``LaurentPoly`` term maps on the shared core of
 ``isotypic.terms``.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 from operator import index
 
 from .errors import (
@@ -107,71 +107,59 @@ def schur_laurent_on_so_torus(lam: Signature, k: int) -> LaurentPoly:
     )
 
 
-def dominant_weights(chi: LaurentPoly) -> tuple:
-    """The ``(e, mult)`` terms of chi with e_1 >= ... >= e_nu >= 0."""
-    return tuple(
-        (e, m)
-        for e, m in chi.terms.items()
-        if all(a >= b for a, b in zip(e, e[1:])) and (not e or e[-1] >= 0)
-    )
+@lru_cache(maxsize=1 << 12)
+def _fold(o: tuple, k: int):
+    """The signed fold ``(mu, sign)`` of one torus weight o of an SO(k) character.
 
-
-@lru_cache(maxsize=1 << 10)
-def _torus_dominant_weights(lam: Signature, k: int) -> tuple:
-    """Dominant weights of the memoised `schur_laurent_on_so_torus(lam, k)`."""
-    return dominant_weights(schur_laurent_on_so_torus(lam, k))
-
-
-@lru_cache(maxsize=1 << 10)
-def _orbit_fold(e: tuple, k: int) -> tuple:
-    """Signed fold of the orbit of e under all signed permutations, for SO(k).
-
-    Each orbit weight o goes to v = o + rho, both doubled in type B (k
-    odd) so rho is integral.  A v on a wall (a repeated |v_i|, or a zero
-    in type B) contributes nothing.  Otherwise the Weyl element that
-    sorts |v| decreasingly gives mu = w(v) - rho with sign det(w): type B
-    flips every negative entry; type D flips only an even number, so an
-    odd count of negatives leaves the last entry negative, unless v has a
+    o goes to v = o + rho, both doubled in type B (k odd) so rho is
+    integral.  A v on a wall (a repeated |v_i|, or a zero in type B)
+    folds to None.  Otherwise the Weyl element w that sorts |v|
+    decreasingly gives mu = w(v) - rho and sign = det(w): type B flips
+    every negative entry; type D flips only an even number, so an odd
+    count of negatives leaves the last entry negative, unless v has a
     zero entry: that zero sorts last and takes the odd flip, staying 0.
-    Returns ``((mu, sign), ...)``.
     """
-    nu = len(e)
+    nu = len(o)
     odd = k % 2
     rho = [2 * (nu - i) - 1 if odd else nu - i - 1 for i in range(nu)]
-    out: dict = {}
-    for perm in set(permutations(e)):
-        for o in product(*[(x, -x) if x else (0,) for x in perm]):
-            v = [(2 * x if odd else x) + r for x, r in zip(o, rho)]
-            a = [abs(x) for x in v]
-            if len(set(a)) < nu or (odd and 0 in a):
-                continue
-            order = sorted(range(nu), key=a.__getitem__, reverse=True)
-            flips = sum(x < 0 for x in v)
-            inversions = sum(order[i] > order[j] for i in range(nu) for j in range(i + 1, nu))
-            dom = [a[i] for i in order]
-            if not odd and flips % 2:
-                dom[-1] = -dom[-1]
-            sign = -1 if (inversions + (flips if odd else 0)) % 2 else 1
-            mu = trim((d - r) // 2 if odd else d - r for d, r in zip(dom, rho))
-            add_into(out, mu, sign)
-    return tuple(out.items())
+    v = [(2 * x if odd else x) + r for x, r in zip(o, rho)]
+    a = [abs(x) for x in v]
+    if len(set(a)) < nu or (odd and 0 in a):
+        return None
+    order = sorted(range(nu), key=a.__getitem__, reverse=True)
+    flips = sum(x < 0 for x in v)
+    inversions = sum(order[i] > order[j] for i in range(nu) for j in range(i + 1, nu))
+    dom = [a[i] for i in order]
+    if not odd and flips % 2:
+        dom[-1] = -dom[-1]
+    sign = -1 if (inversions + (flips if odd else 0)) % 2 else 1
+    return trim((d - r) // 2 if odd else d - r for d, r in zip(dom, rho)), sign
 
 
-def weyl_fold(dominant, k: int) -> Decomposition:
+def folded_weights(chi: LaurentPoly, k: int) -> tuple:
+    """The ``(mu, sign * mult)`` fold of each weight of chi off every wall."""
+    return tuple((f[0], f[1] * m) for e, m in chi.terms.items() if (f := _fold(e, k)))
+
+
+@lru_cache(maxsize=1 << 10)
+def _torus_folds(lam: Signature, k: int) -> tuple:
+    """Folded weights of the memoised `schur_laurent_on_so_torus(lam, k)`."""
+    return folded_weights(schur_laurent_on_so_torus(lam, k), k)
+
+
+def weyl_fold(folds, k: int) -> Decomposition:
     """Decompose an SO(k) character by the Weyl-group alternating sum.
 
-    `dominant` lists the ``(e, mult)`` pairs of `dominant_weights(chi)`
-    for a character chi invariant under all signed permutations, as every
-    restricted U(k) character is.  The multiplicity of mu is the sum of
-    mult(e) det(w) over the weights e and Weyl elements w with
-    w(e + rho) = mu + rho (Racah-Speiser / Brauer-Klimyk); each dominant
-    weight carries its whole orbit through the memoised `_orbit_fold`.  A negative or
-    non-dominant result means chi was no character.
+    `folds` lists `folded_weights(chi, k)` for a character chi invariant
+    under all signed permutations, as every restricted U(k) character is.
+    The multiplicity of mu is the sum of mult(e) det(w) over the weights e
+    and Weyl elements w with w(e + rho) = mu + rho (Racah-Speiser /
+    Brauer-Klimyk); chi lists every weight of each orbit, so each is folded
+    once.  A negative or non-dominant result means chi was no character.
     """
     total: dict = {}
-    for e, m in dominant:
-        for mu, sign in _orbit_fold(e, k):
-            total[mu] = total.get(mu, 0) + m * sign
+    for mu, m in folds:
+        total[mu] = total.get(mu, 0) + m
     found = {}
     for mu, mult in total.items():
         if mult < 0:

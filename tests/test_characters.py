@@ -1,16 +1,18 @@
 import signal
+from collections import Counter
 from functools import lru_cache
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isotypic.characters import (
     LaurentPoly,
-    _orbit_fold,
-    _torus_dominant_weights,
+    _fold,
+    _torus_folds,
     dim,
-    dominant_weights,
+    folded_weights,
     greedy_decompose,
     schur_laurent_on_so_torus,
     schur_poly,
@@ -352,10 +354,10 @@ def test_weyl_fold_matches_greedy_peeling():
         for w in range(8):
             for lam in iter_partitions(w, max_length=(k - 1) // 2):
                 chi = schur_laurent_on_so_torus(lam, k)
-                folded = weyl_fold(_torus_dominant_weights(lam, k), k)
+                folded = weyl_fold(_torus_folds(lam, k), k)
                 peeled = greedy_decompose(chi, GroupFamily("so", k))
                 assert folded == peeled and repr(folded) == repr(peeled), (lam, k)
-                assert weyl_fold(dominant_weights(chi), k) == folded
+                assert weyl_fold(folded_weights(chi, k), k) == folded
                 cases += 1
     assert cases == 87
 
@@ -364,18 +366,18 @@ def test_weyl_fold_of_irreducible_characters():
     for k in (3, 4, 5, 6, 7):
         for w in range(5):
             for mu in iter_partitions(w, max_length=(k - 1) // 2):
-                dec = weyl_fold(dominant_weights(so_character(mu, k)), k)
+                dec = weyl_fold(folded_weights(so_character(mu, k), k), k)
                 assert dec.terms == {mu: 1} and dec.group == GroupFamily("so", k)
 
 
 def test_weyl_fold_rejects_non_characters():
     chi = schur_laurent_on_so_torus((2,), 3) - 2 * so_character((), 3)
     with pytest.raises(NegativeMultiplicity, match="received multiplicity -1"):
-        weyl_fold(dominant_weights(chi), 3)
+        weyl_fold(folded_weights(chi, 3), 3)
     # Outside the stable range, U(4) (1, 1) restricts to SO(4) (1, 1) + (1, -1):
     # (1, -1) is dominant for type D but no signature.
     with pytest.raises(NegativeMultiplicity, match=r"\[1, -1\] is not a dominant weight"):
-        weyl_fold(_torus_dominant_weights((1, 1), 4), 4)
+        weyl_fold(_torus_folds((1, 1), 4), 4)
 
 
 def test_orbit_fold_type_d_parity():
@@ -383,10 +385,42 @@ def test_orbit_fold_type_d_parity():
     negative of (-2, 0) + rho = (-1, 0) flips together with the zero, to
     rho itself; (0, 2) + rho = (1, 2) needs a swap, sign -1; and the one
     negative of (0, -2) + rho = (1, -2) must stay, giving (1, -1)."""
-    assert dict(_orbit_fold((2, 0), 4)) == {(2,): 1, (): 1, (1, 1): -1, (1, -1): -1}
+    assert [_fold(o, 4) for o in ((2, 0), (-2, 0), (0, 2), (0, -2))] == [
+        ((2,), 1), ((), 1), ((1, 1), -1), ((1, -1), -1),
+    ]
     # Type B, doubled: at k = 5, 2e + rho is (5, 1), (1, 1), (3, 3) and
     # (3, -1) over the orbit of (1, 0); the last flips once, giving () at -1.
-    assert dict(_orbit_fold((1, 0), 5)) == {(1,): 1, (): -1}
+    assert [_fold(o, 5) for o in ((1, 0), (-1, 0), (0, 1), (0, -1))] == [
+        ((1,), 1), None, None, ((), -1),
+    ]
+
+
+def test_weyl_fold_at_large_rank():
+    """V, its exterior and its symmetric square at k = 29 and 30, beyond the
+    desk limit of the torus characters, so built here from the weights of V:
+    +-e_i, and 0 in type B.  An orbit walk over m! permutations (m = 14 or 15)
+    never ends here; folding each weight once takes milliseconds."""
+
+    def hang(signum, frame):
+        raise TimeoutError("weyl_fold walked the Weyl orbit")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        for k, dims in ((29, (29, 406, 435)), (30, (30, 435, 465))):
+            nu = k // 2
+            v = [tuple(s * (i == j) for j in range(nu)) for i in range(nu) for s in (1, -1)]
+            v += [(0,) * nu] * (k % 2)
+            ext = [tuple(map(add, a, b)) for i, a in enumerate(v) for b in v[i + 1 :]]
+            sym = ext + [tuple(2 * x for x in a) for a in v]
+            expected = ({(1,): 1}, {(1, 1): 1}, {(2,): 1, (): 1})
+            for weights, want, d in zip((v, ext, sym), expected, dims):
+                dec = weyl_fold(folded_weights(LaurentPoly(nu, Counter(weights)), k), k)
+                assert dec.terms == want, k
+                assert sum(m * dim(dec.group, mu) for mu, m in dec.terms.items()) == d
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_greedy_decompose_raises_when_a_peel_keeps_its_leading_weight():

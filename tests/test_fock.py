@@ -1282,6 +1282,21 @@ def test_check_covariance_never_renders_a_polynomial(monkeypatch):
     assert calls
 
 
+def test_check_covariance_checks_only_the_simple_roots(monkeypatch):
+    """One polarization check per simple root: size - 1 on each side, not one per a > b."""
+    import isotypic.fock as fock
+
+    calls = []
+    real = fock._annihilates
+    monkeypatch.setattr(fock, "_annihilates", lambda f, moves: calls.append(moves) or real(f, moves))
+    for lam, n, k in (((2, 1), 2, 3), ((3, 1, 1), 3, 5), ((4, 3, 2, 1), 4, 6)):
+        vec = hwv("gl", lam, n, k)
+        for side, size in (("left_lower", n), ("right_upper", k)):
+            calls.clear()
+            assert check_covariance(vec, side, lam)
+            assert len(calls) == size - 1, (lam, side)
+
+
 def test_check_covariance_rejects_negative_exponents_before_any_trial():
     vec = hwv("gl", (1,), 1, 2)
     for seed in (0, -3, 1, 8):

@@ -259,8 +259,8 @@ def test_traced_benchmark_targets_still_resolve():
     assert callable(characters.so_character.cache_info)
     memos = [
         branching._littlewood_terms,
-        characters._orbit_fold,
-        characters._torus_dominant_weights,
+        characters._fold,
+        characters._torus_folds,
         characters.schur_poly,
         characters.schur_laurent_on_so_torus,
         characters.so_character,
