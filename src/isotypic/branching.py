@@ -3,12 +3,12 @@
 The Littlewood restriction rule gives the multiplicity of mu in lam as a
 sum of LR coefficients c^lam_{delta,mu} over auxiliary partitions delta
 with all parts even (SO) or all columns even (Sp).  `_littlewood_terms`
-finds it for every mu in one pass down the rows of lam, filling each
-skew shape lam/delta with LR tableaux, and a bounded memo keyed by (lam,
-delta family) keeps the table, which does not depend on k.  The
-restrictions, the dual-side (lowest-K-type) multiplicity and side B of
-reciprocity read it; side A, which folds each torus weight of lam once by
-the Weyl group (`characters.weyl_fold`), reads neither it nor an LR table.
+finds it for every mu in one pass down the rows of lam, filling each skew
+shape lam/delta with LR tableaux; a bounded memo keyed by (lam, target),
+"so" or "sp", keeps the table, which does not depend on k.  One body,
+`_restrict`, serves both restrictions; they, the dual-side multiplicity and
+side B of reciprocity read the table.  Side A folds each torus weight of lam
+once by the Weyl group (`characters.weyl_fold`) and reads no such table.
 """
 
 from __future__ import annotations
@@ -22,27 +22,17 @@ from .lr import Decomposition
 from .signatures import GroupFamily, Signature, canonicalize
 
 
-def _even_row_partitions(r, prev, top, rows):
-    """Row r of a delta with even parts: an even part <= min(prev, top)."""
-    return range(0, min(prev, top) + 1, 2)
-
-
-def _even_column_partitions(r, prev, top, rows):
-    """Row r of a delta with even columns: odd rows repeat prev, an unpaired last row is 0."""
-    if r % 2:
-        return (prev,) if prev <= top else ()
-    return range(min(prev, top) + 1) if r + 1 < rows else (0,)
-
-
 @lru_cache(maxsize=1 << 10)
-def _littlewood_terms(lam: Signature, deltas) -> dict:
+def _littlewood_terms(lam: Signature, target: str) -> dict:
     """``{mu: sum over delta of c^lam_{delta,mu}}`` for canonical lam.
 
-    Row r takes delta_r from `deltas(r, prev, top, rows)`, then cells of
-    values 1..r+1, weakly increasing.  Columns: its cells of value <= v+1
-    end no further right than the row above's of value <= v.  Lattice: read
-    right to left, v+1 never outnumbers v.  Each filling of lam/delta adds
-    1 at its content mu.  Memoised per (lam, deltas): do not mutate it.
+    Row r takes delta_r, with top = min(delta_{r-1}, lam_r): for "so" (even
+    parts) an even part <= top; for "sp" (even columns) delta_{r-1} on odd r
+    if it is <= lam_r, on even r a part <= top, or 0 on an unpaired last row.
+    Then cells of values 1..r+1, weakly increasing.  Columns: its cells of
+    value <= v+1 end no further right than the row above's of value <= v.
+    Lattice: read right to left, v+1 never outnumbers v.  Each filling of
+    lam/delta adds 1 at its content mu.  Memoised per (lam, target): do not mutate it.
     """
     # No recursion: fillings that agree on (ends, content) are counted once; ends holds
     # delta_r, where row r's cells of value <= 1, 2, ... end, then lam_r.
@@ -50,7 +40,14 @@ def _littlewood_terms(lam: Signature, deltas) -> dict:
     for r, part in enumerate(lam):
         after: dict = {}
         for (above, content), count in states.items():
-            rows = [(d,) for d in deltas(r, above[0], part, len(lam))]
+            top = min(above[0], part)
+            if target == "so":
+                deltas = range(0, top + 1, 2)
+            elif r % 2:
+                deltas = (above[0],) if above[0] <= part else ()
+            else:
+                deltas = range(top + 1) if r + 1 < len(lam) else (0,)
+            rows = [(d,) for d in deltas]
             for v in range(r):
                 lattice = content[v - 1] - content[v] if v else part
                 rows = [e + (end,) for e in rows
@@ -76,30 +73,27 @@ def _require_int(*ranks, least=None):
             raise RankConstraint(f"rank must be a positive integer, got {rank!r}")
 
 
-def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
-    """Branch the U(k) representation lam to SO(k) (stable range only)."""
+def _restrict(lam: Signature, k: int, target: str) -> Decomposition:
+    """Branch the U(k) representation lam to target "so" or "sp" (stable range)."""
     _require_int(k, least=1)
     lam = canonicalize(lam)
-    if 2 * len(lam) >= k:
-        raise OutsideStableRange(
-            f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
-        )
-    terms = _littlewood_terms(lam, _even_row_partitions)
-    return Decomposition._new(GroupFamily("so", k), terms)
-
-
-def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
-    """Branch the U(k) representation lam to Sp(k), k even (stable range)."""
-    _require_int(k, least=1)
-    lam = canonicalize(lam)
-    if k % 2:
+    if target == "sp" and k % 2:
         raise OddRank(f"Sp rank must be even, got {k}")
     if 2 * len(lam) >= k:
         raise OutsideStableRange(
             f"Littlewood rule needs 2*length(lam) < k; got {list(lam)} at k={k}"
         )
-    terms = _littlewood_terms(lam, _even_column_partitions)
-    return Decomposition._new(GroupFamily("sp", k), terms)
+    return Decomposition._new(GroupFamily(target, k), _littlewood_terms(lam, target))
+
+
+def restrict_gl_to_so(lam: Signature, k: int) -> Decomposition:
+    """Branch the U(k) representation lam to SO(k) (stable range only)."""
+    return _restrict(lam, k, "so")
+
+
+def restrict_gl_to_sp(lam: Signature, k: int) -> Decomposition:
+    """Branch the U(k) representation lam to Sp(k), k even (stable range)."""
+    return _restrict(lam, k, "sp")
 
 
 def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
@@ -113,7 +107,7 @@ def dual_side_multiplicity(lam: Signature, mu: Signature, n: int) -> int:
     mu = canonicalize(mu)
     if len(lam) > n or len(mu) > n:
         raise RankTooSmall(f"signatures must fit rank {n}")
-    return _littlewood_terms(lam, _even_row_partitions).get(mu, 0)
+    return _littlewood_terms(lam, "so").get(mu, 0)
 
 
 class ReciprocityReport(namedtuple("ReciprocityReport", "lam n k rows")):
@@ -142,7 +136,7 @@ def reciprocity_check(lam: Signature, n: int, k: int) -> ReciprocityReport:
     if k <= 2 * n:
         raise OutsideStableRange(f"need k > 2n; got n={n}, k={k}")
     side_a = weyl_fold(_torus_folds(lam, k), k)
-    side_b = _littlewood_terms(lam, _even_row_partitions)
+    side_b = _littlewood_terms(lam, "so")
     rows = []
     for mu in sorted(set(side_a.signatures()) | set(side_b), reverse=True):
         a, b = side_a[mu], side_b.get(mu, 0)

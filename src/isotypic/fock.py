@@ -61,7 +61,6 @@ from itertools import (
     product as _iterproduct,
 )
 from math import comb, factorial, perm
-from operator import add
 
 from .errors import (
     BadSignature,
@@ -308,12 +307,8 @@ class FockPoly(DensePoly):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = FockPoly.constant(self.shape, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def degree(self):
@@ -328,26 +323,14 @@ class FockPoly(DensePoly):
     def substitute(self, images: dict) -> "FockPoly":
         """Replace variables by polynomials (indices not mapped stay fixed)."""
         out: dict = {}
-        powers: dict = {}
         for e, c in self.terms.items():
-            fixed = list(e)
-            image = None
+            fixed = tuple(0 if idx in images else x for idx, x in enumerate(e))
+            term = FockPoly._new(self.shape, {fixed: c})
             for idx, exp in _items(e):
-                if idx not in images:
-                    continue
-                fixed[idx] = 0
-                cache = powers.get(idx)
-                if cache is None:
-                    self._require_same_shape(images[idx])
-                    cache = powers[idx] = [None, images[idx]]
-                while len(cache) <= exp:
-                    cache.append(cache[-1] * cache[1])
-                image = cache[exp] if image is None else image * cache[exp]
-            if image is None:
-                add_into(out, e, c)
-                continue
-            for ie, ic in image.terms.items():
-                add_into(out, tuple(map(add, ie, fixed)), ic * c)
+                if idx in images:
+                    term = term * images[idx] ** exp
+            for key, coeff in term.terms.items():
+                add_into(out, key, coeff)
         return FockPoly._new(self.shape, out)
 
     def __repr__(self):

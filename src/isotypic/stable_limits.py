@@ -6,9 +6,10 @@ length <= k.  No term is longer than the sum of the factor lengths, and
 the sorted union of the factors' parts always occurs, so the table at that
 rank is stable and `k0` is that rank.  The Littlewood restriction does not
 depend on k inside its stable range 2*len(lam) < k, so `k0` is the range's
-edge.  The probes are the length-filtered tables at k_start, ..., k0 + step:
-the stable table is sorted once, and a probe shares its dict when every
-term fits the probe's rank, or else filters it in order with no second sort.
+edge, 2*len(lam) + step, with step 1 for "so" and 2 for "sp" (even ranks).
+The probes are the length-filtered tables at k_start, ..., k0 + step: the
+stable table is sorted once, and a probe shares its dict when every term
+fits the probe's rank, or else filters it in order with no second sort.
 Each entry checks its signatures once and reads the raw `lr._product` or
 `branching._littlewood_terms` table: no rank-k0 `Decomposition` is built.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .branching import _even_column_partitions, _even_row_partitions, _littlewood_terms
+from .branching import _littlewood_terms
 from .lr import Decomposition, _mixed_table, _product, contragredient
 from .signatures import GroupFamily, Signature, canonicalize, pad
 
@@ -46,15 +47,13 @@ def stable_tensor(factors) -> StableResult:
 
 
 def stable_branch(lam: Signature, target: str) -> StableResult:
-    """Stable restriction of lam to the orthogonal or symplectic chain."""
+    """Stable restriction of lam to the orthogonal ("so") or symplectic ("sp") chain."""
+    if target not in ("so", "sp"):
+        raise ValueError(f"unknown branching target {target!r}")
     lam = canonicalize(lam)
-    if target == "so":
-        k0 = 2 * len(lam) + 1
-        return _stable_result("so", _littlewood_terms(lam, _even_row_partitions), k0, k0)
-    if target == "sp":
-        k0 = 2 * len(lam) + 2
-        return _stable_result("sp", _littlewood_terms(lam, _even_column_partitions), k0, k0, 2)
-    raise ValueError(f"unknown branching target {target!r}")
+    step = 1 if target == "so" else 2
+    k0 = 2 * len(lam) + step
+    return _stable_result(target, _littlewood_terms(lam, target), k0, k0, step)
 
 
 def identity_multiplicity(factors, mu: Signature) -> int:

@@ -1,10 +1,11 @@
 from enum import IntEnum
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isotypic.branching import (
-    _even_column_partitions,
-    _even_row_partitions,
     _littlewood_terms,
     dual_side_multiplicity,
     reciprocity_check,
@@ -13,6 +14,7 @@ from isotypic.branching import (
 )
 from isotypic.characters import dim, greedy_decompose, schur_laurent_on_so_torus
 from isotypic.errors import OddRank, OutsideStableRange, RankConstraint, RankTooSmall
+from isotypic.lr import _lr_table
 from isotypic.signatures import GroupFamily, iter_partitions, weight
 from isotypic.stable_limits import stable_branch
 from oracles import branch_rank1_closed_form, brute_lr, conjugate
@@ -121,8 +123,8 @@ def test_littlewood_sums_match_the_brute_force_lr_oracle():
     over delta with even rows (SO) or even columns (Sp), for |lam| <= 7 and
     length <= 4; the oracle filters every filling and shares no code."""
     families = (
-        (_even_row_partitions, lambda delta: all(p % 2 == 0 for p in delta)),
-        (_even_column_partitions, lambda delta: all(p % 2 == 0 for p in conjugate(delta))),
+        ("so", lambda delta: all(p % 2 == 0 for p in delta)),
+        ("sp", lambda delta: all(p % 2 == 0 for p in conjugate(delta))),
     )
     for w in range(8):
         for lam in iter_partitions(w, max_length=4):
@@ -134,7 +136,74 @@ def test_littlewood_sums_match_the_brute_force_lr_oracle():
                             c = brute_lr(mu, delta, lam)
                             if c:
                                 expected[mu] = expected.get(mu, 0) + c
-                assert _littlewood_terms(lam, deltas) == expected, (lam, deltas.__name__)
+                assert _littlewood_terms(lam, deltas) == expected, (lam, deltas)
+
+
+def _conjugated_so_table(lam):
+    return {conjugate(mu): m for mu, m in _littlewood_terms(conjugate(lam), "so").items()}
+
+
+def test_sp_table_is_the_conjugated_so_table_of_the_conjugate():
+    """O-Sp conjugation (R. C. King, J. Math. Phys. 12 (1971) 1588; Koike and
+    Terada): conjugation swaps delta with even rows for delta with even
+    columns, and c^{lam'}_{delta' mu'} = c^lam_{delta mu}, for |lam| <= 10."""
+    for w in range(11):
+        for lam in iter_partitions(w):
+            assert _littlewood_terms(lam, "sp") == _conjugated_so_table(lam), lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=6))
+def test_sp_table_is_the_conjugated_so_table_hypothesis(parts):
+    lam = tuple(sorted((p for p in parts if p), reverse=True))
+    assert _littlewood_terms(lam, "sp") == _conjugated_so_table(lam), lam
+
+
+@lru_cache(maxsize=None)
+def _oracle_coproduct(alpha):
+    """``{(sigma, tau): c^alpha_{sigma,tau}}`` by the brute-force LR oracle."""
+    return {
+        (sigma, tau): c
+        for ws in range(sum(alpha) + 1)
+        for sigma in iter_partitions(ws, max_length=len(alpha))
+        for tau in iter_partitions(sum(alpha) - ws, max_length=len(alpha))
+        if (c := brute_lr(sigma, tau, alpha))
+    }
+
+
+@lru_cache(maxsize=None)
+def _newell_littlewood(alpha, beta):
+    """``{rho: N^rho_{alpha,beta}}``, N = sum c^alpha_{sigma,tau} c^beta_{sigma,ups}
+    c^rho_{tau,ups}, every LR coefficient from the brute-force oracle."""
+    out = {}
+    for (sigma, tau), a in _oracle_coproduct(alpha).items():
+        for (sigma_b, ups), b in _oracle_coproduct(beta).items():
+            if sigma_b == sigma:
+                width = sum(tau) + sum(ups)
+                for rho in iter_partitions(width, max_length=len(tau) + len(ups)):
+                    c = brute_lr(tau, ups, rho)
+                    if c:
+                        out[rho] = out.get(rho, 0) + a * b * c
+    return out
+
+
+def test_restriction_is_a_ring_map_onto_newell_littlewood_products():
+    """Restricting s_lam s_mu gives the Newell-Littlewood product of the two
+    restrictions, with the same N for O and Sp (M. J. Newell, Proc. Roy.
+    Irish Acad. A 54 (1951) 153; Koike and Terada): the engine's product and
+    restriction on the left, its restriction and the oracle's N on the right,
+    for |lam|, |mu| <= 4."""
+    lams = [lam for w in range(5) for lam in iter_partitions(w)]
+    for target, lam, mu in product(("so", "sp"), lams, lams):
+        left, right = {}, {}
+        for nu, c in _lr_table(lam, mu).items():
+            for rho, m in _littlewood_terms(nu, target).items():
+                left[rho] = left.get(rho, 0) + c * m
+        for alpha, a in _littlewood_terms(lam, target).items():
+            for beta, b in _littlewood_terms(mu, target).items():
+                for rho, n in _newell_littlewood(alpha, beta).items():
+                    right[rho] = right.get(rho, 0) + a * b * n
+        assert left == right, (target, lam, mu)
 
 
 def test_non_int_ranks_are_refused_before_any_other_check():
@@ -223,7 +292,7 @@ def test_poisoned_littlewood_memo_shows_as_disagreement():
     oracle = greedy_decompose(schur_laurent_on_so_torus(lam, k), GroupFamily("so", k))
     assert clean.all_agree and {row[0]: row[1] for row in clean.rows} == oracle.terms
     try:
-        _littlewood_terms(lam, _even_row_partitions)[(1,)] += 1
+        _littlewood_terms(lam, "so")[(1,)] += 1
         poisoned = reciprocity_check(lam, n, k)
         assert not poisoned.all_agree
         assert {row[0]: row[1] for row in poisoned.rows} == oracle.terms

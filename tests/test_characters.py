@@ -347,6 +347,15 @@ def test_greedy_decompose_rejects_non_characters():
         greedy_decompose(chi, GroupFamily("so", 3))
 
 
+def test_greedy_decompose_refuses_other_families_and_non_dominant_leads():
+    with pytest.raises(ValueError) as info:
+        greedy_decompose(LaurentPoly.constant(2, 1), GroupFamily("sp", 4))
+    assert str(info.value) == "no character basis for family 'sp'"
+    with pytest.raises(NegativeMultiplicity) as info:
+        greedy_decompose(LaurentPoly(2, {(0, 1): 1}), GroupFamily("u", 2))
+    assert str(info.value) == "leading monomial [0, 1] is not a dominant weight"
+
+
 def test_weyl_fold_matches_greedy_peeling():
     """Types B (k odd) and D (k even), |lam| <= 7, inside the stable range."""
     cases = 0

@@ -308,6 +308,34 @@ def test_verifiers_reject_nonpositive_ranks():
     assert verify_supq(1, 1, 2) == (2, True)
 
 
+# (call, error class, its exact message): refusals no other test reaches.
+FOCK_REFUSALS = [
+    (lambda: hwv("so_rank1", -1, 1, 3), BadSignature, "degree must be nonnegative, got -1"),
+    (lambda: hwv("sp", (1,), 1, 2), BadSignature, "unknown highest weight vector kind 'sp'"),
+    (lambda: check_covariance(FockPoly.zero(FockShape(1, 2)), "left_lower", (0,)),
+     ValueError, "covariance of the zero polynomial is vacuous"),
+    (lambda: check_covariance(z_var(FockShape(1, 2), 1, 1), "upper", (1,)),
+     ValueError, "unknown side 'upper'"),
+    (lambda: check_covariance(z_var(FockShape(1, 2), 1, 1), "left_lower", (1, 0)),
+     BadSignature, "2 exponents for 1 diagonal entries"),
+    (lambda: harmonic_project_rank1(z_var(FockShape(2, 2), 1, 1), 2),
+     ShapeMismatch, "expected one row of 2 variables, got FockShape(rows=2, cols=2, wrows=0)"),
+    (lambda: translate(z_var(FockShape(1, 2), 1, 1), [[1, 0], [0, 1]], "left"),
+     ValueError, "unknown side 'left'"),
+    (lambda: FockShape(1, 2, 1).w_index(2, 1),
+     ValueError, "W[2][1] outside shape FockShape(rows=1, cols=2, wrows=1)"),
+    (lambda: parse_gauss("  "), ValueError, "empty coefficient"),
+    (lambda: z_var(FockShape(1, 2), 1, 1) ** -1, ValueError, "negative power of a polynomial"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FOCK_REFUSALS)
+def test_fock_refusals_raise_their_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_supq_laplacians():
     fam = supq_laplacians(1, 1, 2)
     shape = FockShape(1, 2, 1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isotypic.branching import restrict_gl_to_so, restrict_gl_to_sp
+from isotypic.branching import _littlewood_terms, restrict_gl_to_so, restrict_gl_to_sp
 from isotypic.lr import Decomposition, contragredient, tensor_mixed, tensor_multi
 from isotypic.signatures import GroupFamily, iter_partitions, pad
 from isotypic.stable_limits import (
@@ -174,6 +174,19 @@ def test_stable_branch_sp_probes_even_ranks():
     assert res.stable.terms == {(2, 2): 1, (1, 1): 1, (): 1}
     assert all(k % 2 == 0 for k, _ in res.probes)
     assert res.stable.group == GroupFamily("sp", "stable")
+
+
+def test_stable_entries_refuse_bad_input_before_any_work():
+    with pytest.raises(ValueError) as info:
+        stable_tensor([])
+    assert str(info.value) == "stable_tensor needs at least one factor"
+    before = _littlewood_terms.cache_info().currsize
+    with pytest.raises(ValueError) as info:
+        stable_branch((1,), "o")
+    assert str(info.value) == "unknown branching target 'o'"
+    assert _littlewood_terms.cache_info().currsize == before
+    with pytest.raises(ValueError, match="unknown branching target"):
+        stable_branch((1, 2), "o")  # the target is refused before the signature
 
 
 def test_stable_branch_rank1_tower():
