@@ -112,19 +112,19 @@ def _fold(o: tuple, k: int):
     """The signed fold ``(mu, sign)`` of one torus weight o of an SO(k) character.
 
     o goes to v = o + rho, both doubled in type B (k odd) so rho is
-    integral.  A v on a wall (a repeated |v_i|, or a zero in type B)
-    folds to None.  Otherwise the Weyl element w that sorts |v|
-    decreasingly gives mu = w(v) - rho and sign = det(w): type B flips
-    every negative entry; type D flips only an even number, so an odd
-    count of negatives leaves the last entry negative, unless v has a
-    zero entry: that zero sorts last and takes the odd flip, staying 0.
+    integral and each entry 2 o_i + 2 (nu - i) - 1 is odd, never 0.  A v
+    on a wall (a repeated |v_i|) folds to None.  Otherwise the Weyl element
+    w that sorts |v| decreasingly gives mu = w(v) - rho and sign = det(w):
+    type B flips every negative entry; type D flips only an even number,
+    so an odd count of negatives leaves the last entry negative, unless v
+    has a zero entry: that zero sorts last and takes the odd flip, staying 0.
     """
     nu = len(o)
     odd = k % 2
     rho = [2 * (nu - i) - 1 if odd else nu - i - 1 for i in range(nu)]
     v = [(2 * x if odd else x) + r for x, r in zip(o, rho)]
     a = [abs(x) for x in v]
-    if len(set(a)) < nu or (odd and 0 in a):
+    if len(set(a)) < nu:
         return None
     order = sorted(range(nu), key=a.__getitem__, reverse=True)
     flips = sum(x < 0 for x in v)

@@ -238,7 +238,7 @@ def _fock_verify_result(args):
 def _fock_hwv_result(args):
     kind, k = args.kind, args.k
     if kind == "upq":
-        sig = decreasing(args.sig.split(","))
+        sig = decreasing(map(int, args.sig.split(",")))
         if len(sig) != k:
             raise IsotypicError(f"mixed signature must have exactly k={k} parts")
         params = {"p": args.p, "q": args.q, "k": k}

@@ -7,11 +7,11 @@ these sit the ladder operators of the oscillator representations, the
 harmonic decomposition in one row of variables, and the highest weight
 vectors of the classical dual pairs.
 
-Coefficients are Gaussian rationals with int parts; a part is a Fraction
-only when a non-integral rational comes in (an input, or a constant such
-as k/2) or the harmonic projection divides it, the one division here:
-exact arithmetic throughout, so operator identities are decided, not
-sampled.
+Coefficients are Gaussian rationals with int parts, each built by
+``_gauss``; a part is a Fraction only when a non-integral rational comes
+in (an input, or a constant such as k/2) or the harmonic projection
+divides it, the one division here: exact arithmetic throughout, so
+operator identities are decided, not sampled.
 Polynomials and operators are term maps on the shared core of
 ``isotypic.terms``, which also holds the Leibniz determinant, so this
 module imports neither the character oracle nor the LR engine.  Terms
@@ -70,7 +70,7 @@ from .errors import (
     ReconstructionFailed,
     ShapeMismatch,
 )
-from .signatures import canonicalize
+from .signatures import canonicalize, decreasing
 from .terms import DensePoly, TermMap, add_into, leibniz_det
 
 
@@ -85,12 +85,9 @@ def _rational(x):
     raise TypeError(f"cannot use {x!r} as an exact rational")
 
 
-_alloc = object.__new__
-
-
 def _gauss(re, im):
-    """Build a GaussRat from int or Fraction parts, turning integral Fractions to int."""
-    out = _alloc(GaussRat)
+    """The one maker of a GaussRat: int or Fraction parts, an integral Fraction made int."""
+    out = object.__new__(GaussRat)
     out.re = re if type(re) is int or re.denominator != 1 else re.numerator
     out.im = im if type(im) is int or im.denominator != 1 else im.numerator
     return out
@@ -129,12 +126,7 @@ class GaussRat:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        re, im = self.re + other.re, self.im + other.im
-        if type(re) is not int or type(im) is not int:
-            return _gauss(re, im)
-        out = _alloc(GaussRat)
-        out.re, out.im = re, im
-        return out
+        return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -162,11 +154,7 @@ class GaussRat:
                     return NotImplemented
             c, d = other.re, other.im
             re, im = (a * c - b * d, a * d + b * c) if b or d else (a * c, 0)
-        if type(re) is not int or type(im) is not int:
-            return _gauss(re, im)
-        out = _alloc(GaussRat)
-        out.re, out.im = re, im
-        return out
+        return _gauss(re, im)
 
     __rmul__ = __mul__
 
@@ -306,8 +294,8 @@ class FockPoly(DensePoly):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = FockPoly.constant(self.shape, 1)
-        for _ in range(n):
+        out = self if n else FockPoly.constant(self.shape, 1)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -762,7 +750,7 @@ def hwv(kind: str, data, n, k: int) -> FockPoly:
         shape = FockShape(n, k)
         return _minor_product(lambda r, c: z_var(shape, r + 1, c + 1), lam, shape)
     if kind == "so_rank1":
-        sig = (data,) if isinstance(data, int) else canonicalize(data)
+        sig = canonicalize(data) if isinstance(data, (tuple, list)) else decreasing((data,))
         if len(sig) > 1:
             raise BadSignature(f"signature {list(sig)} has more than one part")
         r = sig[0] if sig else 0

@@ -9,6 +9,8 @@ mixed (contragredient) products all read these tables; the mixed products
 pass their rank, so the search never opens a row past it.
 Public entries check each signature once and build results with the trusted
 `Decomposition._new`; internal callers use `_product` and `_mixed_table`.
+Every Decomposition is allocated by `Decomposition._wrap`; a copy or a
+pickle is rebuilt by the checked public constructor.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Decomposition:
 
     __slots__ = ("group", "_terms")
 
-    def __init__(self, group: GroupFamily, terms):
+    def __new__(cls, group: GroupFamily, terms):
         items = terms.items() if hasattr(terms, "items") else terms
         clean = {}
         for sig, mult in items:
@@ -49,28 +51,31 @@ class Decomposition:
                 raise ValueError(f"negative multiplicity {mult} for {sig}")
             if mult:
                 clean[sig] = clean.get(sig, 0) + mult
-        object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "_terms", dict(sorted(clean.items(), reverse=True))
-        )
+        return cls._wrap(group, dict(sorted(clean.items(), reverse=True)))
+
+    @classmethod
+    def _wrap(cls, group: GroupFamily, table: dict):
+        """The one maker of a Decomposition: group and table stored as given."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "group", group)
+        object.__setattr__(out, "_terms", table)
+        return out
 
     @classmethod
     def _new(cls, group: GroupFamily, terms: dict):
         """Trusted constructor: keys already tuples, multiplicities positive."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "group", group)
-        object.__setattr__(out, "_terms", dict(sorted(terms.items(), reverse=True)))
-        return out
+        return cls._wrap(group, dict(sorted(terms.items(), reverse=True)))
 
     def _cut(self, group: GroupFamily):
         """Trusted probe at group's finite rank k: the terms of length <= k in
         this table's order, sharing this table's dict when every term fits."""
-        terms, out = self._terms, object.__new__(Decomposition)
+        terms = self._terms
         if max(map(len, terms), default=0) > group.rank:
             terms = {s: m for s, m in terms.items() if len(s) <= group.rank}
-        object.__setattr__(out, "group", group)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return self._wrap(group, terms)
+
+    def __reduce__(self):
+        return (Decomposition, (self.group, self._terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")

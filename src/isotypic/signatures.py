@@ -17,6 +17,7 @@ from .errors import NotDecreasing, OddRankForSp, RankConstraint
 
 Signature = tuple[int, ...]
 MixedSignature = tuple[int, ...]
+_INT = frozenset({int})
 
 
 def canonicalize(parts) -> Signature:
@@ -29,12 +30,17 @@ def canonicalize(parts) -> Signature:
     parts = decreasing(parts)
     if parts and parts[-1] < 0:
         raise NotDecreasing(f"negative part in signature {list(parts)}")
-    return trim(parts)
+    return parts[: len(parts) - parts.count(0)]  # decreasing and nonnegative: zeros trail
 
 
 def decreasing(parts) -> MixedSignature:
-    """The parts as a tuple of ints, rejected unless weakly decreasing."""
-    parts = tuple(map(int, parts))
+    """The parts as a tuple of ints, rejected unless weakly decreasing; a part
+    that ``operator.index`` refuses (a float, a string) or a bool raises TypeError."""
+    parts = tuple(parts)
+    if not _INT.issuperset(map(type, parts)):
+        if bool in map(type, parts):
+            raise TypeError(f"a signature part must be an int, not a bool: {list(parts)}")
+        parts = tuple(map(operator.index, parts))
     if any(map(operator.lt, parts, parts[1:])):
         raise NotDecreasing(f"parts {list(parts)} are not weakly decreasing")
     return parts

@@ -311,6 +311,11 @@ def test_verifiers_reject_nonpositive_ranks():
 # (call, error class, its exact message): refusals no other test reaches.
 FOCK_REFUSALS = [
     (lambda: hwv("so_rank1", -1, 1, 3), BadSignature, "degree must be nonnegative, got -1"),
+    # A degree that is no tuple or list is read as a one-part signature.
+    (lambda: hwv("so_rank1", True, 1, 3),
+     TypeError, "a signature part must be an int, not a bool: [True]"),
+    (lambda: hwv("so_rank1", 2.5, 1, 3),
+     TypeError, "'float' object cannot be interpreted as an integer"),
     (lambda: hwv("sp", (1,), 1, 2), BadSignature, "unknown highest weight vector kind 'sp'"),
     (lambda: check_covariance(FockPoly.zero(FockShape(1, 2)), "left_lower", (0,)),
      ValueError, "covariance of the zero polynomial is vacuous"),
@@ -334,6 +339,12 @@ def test_fock_refusals_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_so_rank1_takes_a_degree_or_a_one_part_signature():
+    assert hwv("so_rank1", (3, 0), 1, 3) == hwv("so_rank1", 3, 1, 3)
+    assert hwv("so_rank1", (), 1, 3) == hwv("so_rank1", 0, 1, 3) == FockPoly.constant(FockShape(1, 3), 1)
+    assert hwv("so_rank1", [2], 1, 3) == hwv("so_rank1", 2, 1, 3)
 
 
 def test_supq_laplacians():

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,8 +10,10 @@ from hypothesis import given, strategies as st
 
 import test_output_digest
 from isotypic import branching, lr, stable_limits
-from isotypic.characters import dim, schur_product_decompose
+from isotypic.branching import reciprocity_check
+from isotypic.characters import dim, schur_laurent_on_so_torus, schur_product_decompose
 from isotypic.errors import NotDecreasing, RankConstraint, RankMismatch, RankTooSmall
+from isotypic.fock import FockShape, GaussRat, hwv, sl2_generators
 from isotypic.lr import (
     Decomposition,
     _lr_table,
@@ -314,6 +319,33 @@ def test_public_constructor_still_checks_its_terms():
     dec = Decomposition(group, [([1], 2), ((1,), 1), ((2,), 0)])
     assert dec.terms == {(1,): 3}
     assert Decomposition._new(group, {(1,): 3, (2,): 1}) == Decomposition(group, {(2,): 1, (1,): 3})
+
+
+def test_every_value_type_copies_deep_copies_and_pickles():
+    """Copies and pickles of the package's values equal the originals; a
+    Decomposition is rebuilt by its checked constructor and stays immutable."""
+    values = [
+        GaussRat(Fraction(1, 2), -3),
+        hwv("gl", (2, 1), 2, 3),
+        sl2_generators(2)[0],
+        schur_laurent_on_so_torus((1,), 3),
+        FockShape(1, 2, 1),
+        GroupFamily("sp", 4),
+        GroupFamily("u", "stable"),
+        reciprocity_check((1,), 1, 3),
+        tensor_pair((2, 1), (1,), 3),
+        Decomposition(GroupFamily("so", 5), {}),
+        stable_limits.stable_tensor([(1,), (1,)]),
+        stable_limits.stable_branch((2,), "sp"),
+    ]
+    round_trips = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    for value, trip in product(values, round_trips):
+        out = trip(value)
+        assert type(out) is type(value) and out == value and repr(out) == repr(value)
+    dec = copy.deepcopy(values[8])
+    assert dec._terms is not values[8]._terms
+    with pytest.raises(AttributeError, match="immutable"):
+        dec.group = GroupFamily("u", 4)
 
 
 def test_results_do_not_share_the_memo_tables():

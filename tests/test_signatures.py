@@ -9,6 +9,7 @@ from isotypic.branching import (
 )
 from isotypic import signatures
 from isotypic.characters import (
+    dim,
     schur_laurent_on_so_torus,
     schur_poly,
     schur_product_decompose,
@@ -93,6 +94,36 @@ def test_negative_parts_are_rejected_at_every_entry_point():
         with pytest.raises(NotDecreasing):
             call()
             pytest.fail(f"call {i} accepted a negative part")
+
+
+def test_non_int_parts_are_refused_at_every_entry_point():
+    """A part is an int: a float is not truncated, a string not parsed and a
+    bool not read as 0 or 1, at each entry of the negative-part test and more."""
+    for bad in (1.5, "2", True):
+        sig = (3, bad)
+        calls = [
+            lambda: canonicalize(sig),
+            lambda: canonicalize((bad, 0)),
+            lambda: tensor_pair(sig, (1,), 4),
+            lambda: tensor_pair((), (bad,), 4),
+            lambda: lr_coefficient((2,), sig, (4, 2)),
+            lambda: lr_coefficient((2,), (1,), (3, 1, bad)),
+            lambda: tensor_multi([(1,), sig], 4),
+            lambda: restrict_gl_to_so(sig, 9),
+            lambda: restrict_gl_to_sp(sig, 10),
+            lambda: dual_side_multiplicity(sig, (1,), 3),
+            lambda: reciprocity_check(sig, 3, 7),
+            lambda: stable_tensor([(1,), sig]),
+            lambda: stable_branch(sig, "so"),
+            lambda: identity_multiplicity([(1,)], sig),
+            lambda: dim(GroupFamily("u", 3), sig),
+            lambda: tensor_mixed((3, bad, 0), (1, 0, 0), 3),
+            lambda: hwv("gl", sig, 2, 3),
+        ]
+        for i, call in enumerate(calls):
+            with pytest.raises(TypeError):
+                call()
+                pytest.fail(f"call {i} accepted the part {bad!r}")
 
 
 @given(partitions())

@@ -28,13 +28,13 @@ PROTOCOL_RAISES = {
 }
 
 
-def _raises(tree, prefix):
-    """(qualified name of the enclosing definition, node) for each raise in tree."""
+def _nodes(tree, prefix, kind=ast.Raise):
+    """(qualified name of the enclosing definition, node) for each `kind` node in tree."""
     stack = [(prefix, tree)]
     while stack:
         name, node = stack.pop()
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise):
+            if isinstance(child, kind):
                 yield name, child
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 stack.append((f"{name}.{child.name}", child))
@@ -52,7 +52,7 @@ def test_library_raises_only_typed_errors():
     bad, protocol = [], set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualname, node in _raises(tree, path.stem):
+        for qualname, node in _nodes(tree, path.stem):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = ast.unparse(exc) if exc is not None else "(bare raise)"
             cls = getattr(errors, name, None)
@@ -66,6 +66,21 @@ def test_library_raises_only_typed_errors():
                 bad.append(f"{path.name}:{node.lineno} {qualname} raises {name}")
     assert bad == []
     assert protocol == set(PROTOCOL_RAISES)
+
+
+def test_each_hand_built_value_type_is_made_in_one_function():
+    """``object.__new__`` appears only in the one function that makes each
+    hand-built value type, so every other route goes through it; an alias
+    counts, since any reference is found.  ``tuple.__new__`` in the
+    named-tuple types is not this test's business."""
+    root = Path(isotypic.__file__).parent
+    found = {
+        qualname
+        for path in sorted(root.glob("*.py"))
+        for qualname, node in _nodes(ast.parse(path.read_text(encoding="utf-8")), path.stem, ast.Attribute)
+        if node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object"
+    }
+    assert found == {"fock._gauss", "terms.TermMap._new", "lr.Decomposition._wrap"}
 
 
 def test_every_package_name_is_used_or_exported():
